@@ -52,6 +52,7 @@ from .index import (
     ATIndex,
     ChecksumError,
     CorruptIndexError,
+    GraphMismatchError,
     IndexFileError,
     VersionMismatchError,
     build_index,

@@ -7,9 +7,7 @@ with sorted keys, TSV reports) and byte-identical for identical argv + seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -72,18 +70,6 @@ def format_score(x: Fraction) -> str:
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ATC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"bad ATC_THREADS value: {env!r}")
-    return 1
-
-
 def _load_graph(graph_path: str, attr_path: str | None) -> Graph:
     g = load_edge_list(graph_path)
     if attr_path:
@@ -101,7 +87,6 @@ def build_parser() -> _Parser:
     px.add_argument("--graph", required=True)
     px.add_argument("--attrs", required=True, help="attribute file")
     px.add_argument("--out", required=True)
-    px.add_argument("--threads", type=int, default=None)
 
     pd = sub.add_parser("decompose", help="edge trussness of the whole graph")
     pd.add_argument("--graph", required=True)
@@ -123,8 +108,6 @@ def build_parser() -> _Parser:
     pq.add_argument("--epsilon", type=Fraction, default=Fraction(3, 100))
     pq.add_argument("--suggest-on-bad", action="store_true")
     pq.add_argument("--fail-on-empty", action="store_true")
-    pq.add_argument("--seed", type=int, default=0)
-    pq.add_argument("--threads", type=int, default=None)
 
     pg = sub.add_parser("gen", help="generate a synthetic attributed benchmark")
     pg.add_argument("--n", type=int, default=1000)
@@ -143,14 +126,12 @@ def build_parser() -> _Parser:
     pe.add_argument("--algo", choices=["basic", "bulk", "local", "baseline"],
                     default="local")
     pe.add_argument("--report", required=True)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--threads", type=int, default=None)
     return p
 
 
 def cmd_index(args) -> int:
     g = _load_graph(args.graph, args.attrs)
-    idx = build_index(g, threads=_threads(args))
+    idx = build_index(g)
     save_index(idx, g, args.out)
     print(f"indexed {g.n} vertices, {g.m} edges, "
           f"{len(g.attr_labels)} attributes -> {args.out}")
@@ -236,7 +217,7 @@ def cmd_query(args) -> int:
             if args.index:
                 idx = load_index(args.index, g)
             else:
-                idx = build_index(g, threads=_threads(args))
+                idx = build_index(g)
             res = locatc_search(g, idx, q)
     except NoFeasibleCommunity:
         print(_result_json(g, None, "infeasible"))
@@ -267,7 +248,7 @@ def cmd_eval(args) -> int:
     gt = read_truth(args.truth)
     queries = read_queries(args.queries)
     if args.algo == "local":
-        idx = build_index(g, threads=_threads(args))
+        idx = build_index(g)
 
         def run(g_, q):
             return locatc_search(g_, idx, q)

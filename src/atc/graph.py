@@ -7,7 +7,7 @@ dense attribute ids the same way.  All algorithms work on internal ids.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -112,12 +112,6 @@ class Graph:
                 self.postings[w].append(v)
 
     # -- accessors ---------------------------------------------------------
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adj[v]
-
-    def attr_ids(self, v: int) -> tuple[int, ...]:
-        return self.attrs[v]
 
     def attr_id(self, label: str) -> int:
         try:
@@ -234,16 +228,6 @@ class Subgraph:
         self.m = m
 
     @classmethod
-    def induced(cls, parent: Graph, vertices: Iterable[int]) -> "Subgraph":
-        vs = set(vertices)
-        for v in vs:
-            if not (0 <= v < parent.n):
-                raise UnknownVertexError(v)
-        adj = {v: {u for u in parent.adj[v] if u in vs} for v in vs}
-        m = sum(len(s) for s in adj.values()) // 2
-        return cls(parent, adj, m)
-
-    @classmethod
     def full(cls, parent: Graph) -> "Subgraph":
         adj = {v: set(parent.adj[v]) for v in range(parent.n)}
         return cls(parent, adj, parent.m)
@@ -296,12 +280,18 @@ class Subgraph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Subgraph:
-    return Subgraph.induced(g, vertices)
+    vs = set(vertices)
+    for v in vs:
+        if not (0 <= v < g.n):
+            raise UnknownVertexError(v)
+    adj = {v: {u for u in g.adj[v] if u in vs} for v in vs}
+    m = sum(len(s) for s in adj.values()) // 2
+    return Subgraph(g, adj, m)
 
 
 def project_on_attribute(g: Graph, w: int) -> Subgraph:
     """Induced subgraph on the vertices carrying attribute w."""
-    return Subgraph.induced(g, g.vertices_with(w))
+    return induced_subgraph(g, g.vertices_with(w))
 
 
 def bfs_distances(adj, source: int) -> dict[int, int]:
@@ -337,15 +327,3 @@ def query_distance(h: Subgraph, query_nodes: Iterable[int]):
     value = max(dist.values()) if dist else 0
     return dist, value
 
-
-def graph_query_distance_sets(g: Graph, query_nodes: Iterable[int]):
-    """Same as query_distance but over the full parent graph adjacency."""
-    qs = list(query_nodes)
-    dist = {v: 0 for v in range(g.n)}
-    for q in qs:
-        d = bfs_distances(g.adj, q)
-        for v in range(g.n):
-            dv = d.get(v, UNREACHABLE)
-            if dv > dist[v]:
-                dist[v] = dv
-    return dist

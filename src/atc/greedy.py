@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, QuerySpec, Subgraph, query_distance
 from .score import (
-    ScoreBreakdown,
+    attribute_score,
     contribution_from_breakdown,
     gain_from_breakdown,
     removal_set,
@@ -45,14 +45,7 @@ def replay_candidate(trace: CandidateTrace, i: int) -> Subgraph:
     """Reconstruct candidate G_i from G_0 and the deletion log."""
     if not (0 <= i < len(trace.scores)):
         raise IndexError(i)
-    h = trace.base.copy()
-    for step in trace.steps[:i]:
-        for ev in step:
-            if ev[0] == "v":
-                h.remove_vertex(ev[1])
-            else:
-                h.remove_edge(ev[1], ev[2])
-    return h
+    return replay_events(trace.base, (ev for step in trace.steps[:i] for ev in step))
 
 
 @dataclass
@@ -91,6 +84,9 @@ def _finish(g: Graph, trace: CandidateTrace, q: QuerySpec, k: int, d: int,
 
 
 def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> Subgraph:
+    parent = g if isinstance(g, Graph) else g.parent
+    for w in q.query_attrs:
+        parent.vertices_with(w)  # raises UnknownAttributeError
     kd = maximal_kd_truss(g, q.query_nodes, k, d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)
@@ -105,7 +101,7 @@ def basic_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
     d = q.d if d is None else d
     h = _initial_truss(g, q, k, d)
     parent = h.parent
-    trace = CandidateTrace(h.copy(), [attribute_score_of(h, q)], [], 0)
+    trace = CandidateTrace(h.copy(), [attribute_score(h, q.query_attrs).score], [], 0)
     iterations = 0
     while True:
         bd = score_of_vertices(parent, h.vertices, q.query_attrs)
@@ -138,7 +134,7 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
     d = q.d if d is None else d
     h = _initial_truss(g, q, k, d)
     parent = h.parent
-    trace = CandidateTrace(h.copy(), [attribute_score_of(h, q)], [], 0)
+    trace = CandidateTrace(h.copy(), [attribute_score(h, q.query_attrs).score], [], 0)
     iterations = 0
     while True:
         cands = [v for v in h.vertices if v not in q.query_nodes]
@@ -165,10 +161,6 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
             break  # no k-truss edge can survive below k vertices
     res = _finish(parent, trace, q, k, d, "bulk", iterations, t0)
     return res, trace
-
-
-def attribute_score_of(h: Subgraph, q: QuerySpec) -> Fraction:
-    return score_of_vertices(h.parent, h.vertices, q.query_attrs).score
 
 
 def iteration_bound(n: int, k: int, epsilon: Fraction) -> int:

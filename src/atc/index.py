@@ -1,25 +1,27 @@
 """Attribute-truss index: structural and per-attribute-projection trussness.
 
-The index stores the edge/vertex trussness of the full graph, the trussness
-of every edge/vertex inside each attribute-projected graph, and per-attribute
-inverted vertex lists ordered by decreasing structural trussness.  The disk
-format is versioned sectioned text with per-section CRC32 lines, keyed by
-external vertex ids and attribute labels so a rebuilt graph reads it back.
+The index holds what local search reads: the edge/vertex trussness of the
+full graph and the edge trussness inside each attribute-projected graph.
+The disk format is versioned sectioned text with per-section CRC32 lines,
+keyed by external vertex ids and attribute labels so a rebuilt graph reads
+it back.  A header line records n, m and a digest of the graph, so an index
+is never read against a graph it was not built from.
 """
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, UnknownAttributeError, project_on_attribute
 from .truss import truss_decompose, Subgraph
 
 FORMAT_MAGIC = "ATIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # lookup result for objects absent from a projection (never a valid trussness)
 NOT_IN_PROJECTION = -1
+
+_M64 = (1 << 64) - 1
 
 
 class IndexFileError(Exception):
@@ -38,13 +40,15 @@ class ChecksumError(IndexFileError):
     pass
 
 
+class GraphMismatchError(IndexFileError):
+    pass
+
+
 @dataclass
 class ATIndex:
     edge_truss: dict[tuple[int, int], int]
     vertex_truss: dict[int, int]
     attr_edge_truss: dict[int, dict[tuple[int, int], int]]
-    attr_vertex_truss: dict[int, dict[int, int]]
-    inverted: dict[int, list[tuple[int, int]]]  # attr -> [(v, tau_G(v))], tau desc
     tau_max: int
 
     def structural_edge(self, u: int, v: int) -> int:
@@ -60,51 +64,51 @@ class ATIndex:
             raise UnknownAttributeError(w) from None
         return table.get((u, v) if u < v else (v, u), NOT_IN_PROJECTION)
 
-    def attribute_vertex(self, w: int, v: int) -> int:
-        try:
-            table = self.attr_vertex_truss[w]
-        except KeyError:
-            raise UnknownAttributeError(w) from None
-        return table.get(v, NOT_IN_PROJECTION)
-
     def entry_count(self) -> int:
-        """Stored trussness entries: m + n + sum_w(|E(G_w)| + |V_w|)."""
+        """Stored trussness entries: m + n + sum_w |E(G_w)|."""
         return (len(self.edge_truss) + len(self.vertex_truss)
-                + sum(len(t) for t in self.attr_edge_truss.values())
-                + sum(len(t) for t in self.attr_vertex_truss.values()))
+                + sum(len(t) for t in self.attr_edge_truss.values()))
 
 
-def _decompose_attr(g: Graph, w: int):
-    proj = project_on_attribute(g, w)
-    edge_tau, vertex_tau = truss_decompose(proj)
-    return w, edge_tau, vertex_tau
-
-
-def build_index(g: Graph, threads: int = 1) -> ATIndex:
-    """Decompose G and every attribute projection; build inverted lists.
-
-    Projections are independent work units; with threads > 1 they run on a
-    thread pool and are merged in attribute-id order for determinism.
-    """
+def build_index(g: Graph) -> ATIndex:
+    """Decompose G and every attribute projection."""
     edge_tau, vertex_tau = truss_decompose(Subgraph.full(g))
-    tau_max = max(edge_tau.values(), default=2)
-    attrs = list(range(len(g.attr_labels)))
-    attr_edge: dict[int, dict] = {}
-    attr_vertex: dict[int, dict] = {}
-    if threads > 1 and attrs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda w: _decompose_attr(g, w), attrs))
-    else:
-        results = [_decompose_attr(g, w) for w in attrs]
-    for w, e_tau, v_tau in sorted(results):
-        attr_edge[w] = e_tau
-        attr_vertex[w] = v_tau
-    inverted = {}
-    for w in attrs:
-        members = g.vertices_with(w)
-        inverted[w] = sorted(((v, vertex_tau[v]) for v in members),
-                             key=lambda t: (-t[1], t[0]))
-    return ATIndex(edge_tau, vertex_tau, attr_edge, attr_vertex, inverted, tau_max)
+    attr_edge = {w: truss_decompose(project_on_attribute(g, w))[0]
+                 for w in range(len(g.attr_labels))}
+    return ATIndex(edge_tau, vertex_tau, attr_edge, max(edge_tau.values(), default=2))
+
+
+def _mix(x: int) -> int:
+    """splitmix64: a fixed, well-spread map of integers to 64-bit integers."""
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def graph_digest(g: Graph) -> int:
+    """Order-independent 64-bit digest of g's external edges and attributes.
+
+    The sum, mod 2**64, of mix(a) * mix(b) over the external edges {a, b}
+    and of mix(v) * mix(2**32 + crc32(label)) over the (vertex, label)
+    pairs.  Neither the file order of edges and labels nor the internal ids
+    matter.  Terms that share a factor are summed first, so the Python-level
+    loop runs once per vertex and once per label.
+    """
+    hv = [_mix(e) for e in g.ext_ids]
+    hw = [_mix((1 << 32) + zlib.crc32(label.encode("utf-8")))
+          for label in g.attr_labels]
+
+    def weighted(factors, vertex_lists):
+        return sum(f * sum(map(hv.__getitem__, vs))
+                   for f, vs in zip(factors, vertex_lists))
+
+    # adjacency lists count each edge from both ends
+    return (weighted(hv, g.adj) // 2 + weighted(hw, g.postings)) & _M64
+
+
+def _graph_line(g: Graph) -> str:
+    return f"GRAPH\t{g.n}\t{g.m}\t{graph_digest(g):016x}"
 
 
 # --- serialization ---------------------------------------------------------
@@ -118,40 +122,29 @@ def _section_lines(name_line: str, rows: list[str]) -> list[str]:
 
 def save_index(idx: ATIndex, g: Graph, path: str) -> None:
     ext = g.ext_ids
-    lines = [f"{FORMAT_MAGIC}\t{FORMAT_VERSION}", f"TAUMAX\t{idx.tau_max}"]
+    lines = [f"{FORMAT_MAGIC}\t{FORMAT_VERSION}", _graph_line(g),
+             f"TAUMAX\t{idx.tau_max}"]
 
-    rows = [f"{ext[v]}\t{t}" for v, t in
-            sorted(((v, t) for v, t in idx.vertex_truss.items()),
-                   key=lambda p: ext[p[0]])]
+    rows = [f"{v}\t{t}" for v, t in
+            sorted((ext[v], t) for v, t in idx.vertex_truss.items())]
     lines += _section_lines("SECTION\tSTRUCT_V", rows)
 
     def edge_rows(table):
-        out = []
-        for (u, v), t in table.items():
-            a, b = ext[u], ext[v]
-            if a > b:
-                a, b = b, a
-            out.append((a, b, t))
-        out.sort()
+        out = sorted((ext[u], ext[v], t) if ext[u] < ext[v] else (ext[v], ext[u], t)
+                     for (u, v), t in table.items())
         return [f"{a}\t{b}\t{t}" for a, b, t in out]
 
     lines += _section_lines("SECTION\tSTRUCT_E", edge_rows(idx.edge_truss))
-
     for w in sorted(idx.attr_edge_truss, key=lambda w: g.attr_labels[w]):
-        label = g.attr_labels[w]
-        rows = [f"V\t{ext[v]}\t{t}" for v, t in
-                sorted(idx.attr_vertex_truss[w].items(), key=lambda p: ext[p[0]])]
-        rows += [f"E\t{r}" for r in edge_rows(idx.attr_edge_truss[w])]
-        lines += _section_lines(f"SECTION\tATTR\t{label}", rows)
-        inv_rows = [f"{ext[v]}\t{t}" for v, t in idx.inverted[w]]
-        lines += _section_lines(f"SECTION\tINV\t{label}", inv_rows)
+        lines += _section_lines(f"SECTION\tATTR\t{g.attr_labels[w]}",
+                                edge_rows(idx.attr_edge_truss[w]))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_index(path: str, g: Graph) -> ATIndex:
-    """Parse and checksum-verify an index file against graph g's symbol table."""
+    """Parse and checksum-verify an index file built from graph g."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -161,14 +154,18 @@ def load_index(path: str, g: Graph) -> ATIndex:
         raise CorruptIndexError("bad magic")
     if header[1] != str(FORMAT_VERSION):
         raise VersionMismatchError(f"index format version {header[1]}")
-    if len(lines) < 2 or not lines[1].startswith("TAUMAX\t"):
+    if len(lines) < 2 or not lines[1].startswith("GRAPH\t"):
+        raise CorruptIndexError("missing GRAPH")
+    if lines[1] != _graph_line(g):
+        raise GraphMismatchError("index was built from a different graph")
+    if len(lines) < 3 or not lines[2].startswith("TAUMAX\t"):
         raise CorruptIndexError("missing TAUMAX")
-    tau_max = int(lines[1].split("\t")[1])
+    tau_max = int(lines[2].split("\t")[1])
 
     # split into CRC-delimited sections
     sections = []
     cur: list[str] = []
-    for line in lines[2:]:
+    for line in lines[3:]:
         if line.startswith("CRC\t"):
             if not cur or not cur[0].startswith("SECTION\t"):
                 raise CorruptIndexError("checksum line outside a section")
@@ -186,15 +183,14 @@ def load_index(path: str, g: Graph) -> ATIndex:
     edge_truss: dict = {}
     vertex_truss: dict = {}
     attr_edge: dict = {}
-    attr_vertex: dict = {}
-    inverted: dict = {}
 
-    def vid(tok: str) -> int:
-        return g.internal(int(tok))
+    to_int = g.ext_to_int
 
-    def ekey(a: str, b: str):
-        u, v = vid(a), vid(b)
-        return (u, v) if u < v else (v, u)
+    def read_edges(rows, table):
+        for r in rows:
+            a, b, t = r.split("\t")
+            u, v = to_int[int(a)], to_int[int(b)]
+            table[(u, v) if u < v else (v, u)] = int(t)
 
     try:
         for sec in sections:
@@ -203,29 +199,16 @@ def load_index(path: str, g: Graph) -> ATIndex:
             if kind[1] == "STRUCT_V":
                 for r in rows:
                     v, t = r.split("\t")
-                    vertex_truss[vid(v)] = int(t)
+                    vertex_truss[to_int[int(v)]] = int(t)
             elif kind[1] == "STRUCT_E":
-                for r in rows:
-                    a, b, t = r.split("\t")
-                    edge_truss[ekey(a, b)] = int(t)
+                read_edges(rows, edge_truss)
             elif kind[1] == "ATTR":
-                w = g.attr_id(kind[2])
-                attr_edge[w] = {}
-                attr_vertex[w] = {}
-                for r in rows:
-                    toks = r.split("\t")
-                    if toks[0] == "V":
-                        attr_vertex[w][vid(toks[1])] = int(toks[2])
-                    elif toks[0] == "E":
-                        attr_edge[w][ekey(toks[1], toks[2])] = int(toks[3])
-                    else:
-                        raise CorruptIndexError(f"bad ATTR row: {r}")
-            elif kind[1] == "INV":
-                w = g.attr_id(kind[2])
-                inverted[w] = [(vid(r.split("\t")[0]), int(r.split("\t")[1]))
-                               for r in rows]
+                read_edges(rows, attr_edge.setdefault(g.attr_id(kind[2]), {}))
             else:
                 raise CorruptIndexError(f"unknown section {kind[1]}")
-    except (ValueError, IndexError) as exc:
-        raise CorruptIndexError(f"malformed row: {exc}") from None
-    return ATIndex(edge_truss, vertex_truss, attr_edge, attr_vertex, inverted, tau_max)
+    except (ValueError, IndexError, KeyError) as exc:
+        raise CorruptIndexError(f"malformed row: {exc!r}") from None
+    if (len(vertex_truss), len(edge_truss), len(attr_edge)) != (
+            g.n, g.m, len(g.attr_labels)):
+        raise CorruptIndexError("index is missing sections or rows")
+    return ATIndex(edge_truss, vertex_truss, attr_edge, tau_max)

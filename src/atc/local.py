@@ -83,6 +83,8 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
     Metric closure over the terminals, its minimum spanning tree, expansion
     back to graph paths, then pruning of non-terminal leaves.
     """
+    for w in q.query_attrs:
+        g.vertices_with(w)  # raises UnknownAttributeError
     terminals = sorted(q.query_nodes)
     if len(terminals) == 1:
         return SteinerSeed(frozenset(terminals), (), Fraction(0))

@@ -71,8 +71,7 @@ def score_contribution(h: Subgraph, v: int, query_attrs,
         raise KeyError(v)
     if breakdown is None:
         breakdown = attribute_score(h, query_attrs)
-    ws = breakdown.cover
-    return sum(2 * ws[w] - 1 for w in h.parent.attrs[v] if w in ws)
+    return contribution_from_breakdown(h.parent, v, breakdown)
 
 
 def contribution_from_breakdown(g: Graph, v: int, breakdown: ScoreBreakdown) -> int:

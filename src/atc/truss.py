@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import (
@@ -16,7 +16,6 @@ from .graph import (
     Subgraph,
     UNREACHABLE,
     bfs_distances,
-    induced_subgraph,
     query_distance,
 )
 
@@ -80,11 +79,6 @@ class KdTruss:
     d: int
     valid: bool
     reason: Optional[str] = None
-    distances: dict = field(default_factory=dict)
-
-    @property
-    def query_dist(self):
-        return max(self.distances.values()) if self.distances else 0
 
 
 def _record(events, ev):
@@ -158,7 +152,7 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
         dist, _ = query_distance(h, qs)
         far = sorted(v for v, dv in dist.items() if dv > d)
         if not far:
-            return KdTruss(h, k, d, True, None, dist)
+            return KdTruss(h, k, d, True)
         bad_q = [q for q in qs if dist[q] > d]
         if bad_q:
             # distinguish disconnection between query nodes from plain pruning
@@ -177,19 +171,12 @@ def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
     for q in qs:
         if not base.has_vertex(q):
             return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-    dist = {v: 0 for v in base.vertices}
-    for q in qs:
-        dq = bfs_distances(base.adj, q)
-        for v in dist:
-            dv = dq.get(v, UNREACHABLE)
-            if dv > dist[v]:
-                dist[v] = dv
-    ball = [v for v, dv in dist.items() if dv <= d]
-    if any(q not in set(ball) for q in qs):
-        if any(bfs_distances(base.adj, qs[0]).get(q) is None for q in qs):
+    dist, _ = query_distance(base, qs)
+    if any(dist[q] > d for q in qs):
+        if any(dist[q] == UNREACHABLE for q in qs):
             return KdTruss(None, k, d, False, QUERY_NODES_DISCONNECTED)
         return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-    h = Subgraph.induced(base.parent, ball) if isinstance(g, Graph) else _induced_view(base, ball)
+    h = _induced_view(base, [v for v, dv in dist.items() if dv <= d])
     return maintain_kd_truss(h, qs, k, d, in_place=True, events=events)
 
 
@@ -228,7 +215,6 @@ def max_trussness_connecting(g: Graph | Subgraph, query_nodes: Iterable[int]):
             continue
         comp = bfs_distances(adj, qs[0])
         if all(q in comp for q in qs):
-            m = sum(len(s) for s in adj.values()) // 2
             sub_adj = {v: ns for v, ns in adj.items() if v in comp}
             m = sum(len(s) for s in sub_adj.values()) // 2
             return k, Subgraph(h.parent, sub_adj, m)

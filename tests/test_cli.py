@@ -1,10 +1,46 @@
 import json
-import os
 
 import pytest
 
 from atc.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, EXIT_USAGE, format_score, run
+from atc.graph import load_attributes, load_edge_list
+from atc.index import VersionMismatchError, load_index
 from fractions import Fraction
+
+# an index of the 4-cycle below, as format version 1 wrote it
+V1_INDEX = """ATIDX\t1
+TAUMAX\t2
+SECTION\tSTRUCT_V
+0\t2
+1\t2
+2\t2
+3\t2
+CRC\t59b0da9e
+SECTION\tSTRUCT_E
+0\t1\t2
+0\t3\t2
+1\t2\t2
+2\t3\t2
+CRC\t8b5541f7
+SECTION\tATTR\tx
+V\t0\t2
+V\t1\t2
+V\t2\t2
+E\t0\t1\t2
+E\t1\t2\t2
+CRC\tc80ce02d
+SECTION\tINV\tx
+0\t2
+1\t2
+2\t2
+CRC\t4734f8d1
+SECTION\tATTR\ty
+V\t3\t0
+CRC\t5ca6307c
+SECTION\tINV\ty
+3\t2
+CRC\teccbb923
+"""
 
 
 @pytest.fixture
@@ -111,7 +147,7 @@ class TestDeterminism:
     def test_query_stdout_byte_identical(self, synth, capsys):
         argv = ["query", "--graph", synth + ".edges",
                 "--attr-file", synth + ".attrs", "--algo", "local",
-                "--nodes", q_node(synth), "--auto-kd", "--seed", "1"]
+                "--nodes", q_node(synth), "--auto-kd"]
         assert run(argv) == EXIT_OK
         first = capsys.readouterr().out
         assert run(argv) == EXIT_OK
@@ -119,10 +155,9 @@ class TestDeterminism:
 
     def test_index_file_byte_identical(self, synth, tmp_path):
         p1, p2 = str(tmp_path / "1.atidx"), str(tmp_path / "2.atidx")
-        for out, threads in ((p1, "1"), (p2, "3")):
+        for out in (p1, p2):
             assert run(["index", "--graph", synth + ".edges",
-                        "--attrs", synth + ".attrs", "--out", out,
-                        "--threads", threads]) == EXIT_OK
+                        "--attrs", synth + ".attrs", "--out", out]) == EXIT_OK
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -142,21 +177,53 @@ class TestDecompose:
         assert out.read_text() == "0\t1\t3\n0\t2\t3\n1\t2\t3\n"
 
 
-class TestVersionAndThreads:
+class TestIndexFile:
+    @pytest.fixture
+    def cycle(self, tmp_path):
+        """A 4-cycle with attributes, indexed; returns (dir, index path)."""
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n0 3\n")
+        (tmp_path / "g.attrs").write_text("0\tx\n1\tx\n2\tx\n3\ty\n")
+        idx = str(tmp_path / "g.atidx")
+        assert run(["index", "--graph", str(tmp_path / "g.edges"),
+                    "--attrs", str(tmp_path / "g.attrs"), "--out", idx]) == EXIT_OK
+        return tmp_path, idx
+
+    def query(self, d, idx, edges="g.edges"):
+        return run(["query", "--graph", str(d / edges), "--attr-file",
+                    str(d / "g.attrs"), "--index", idx, "--nodes", "1,3",
+                    "--attrs", "x", "--k", "3", "--d", "2"])
+
     def test_version(self, capsys):
         assert run(["--version"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "atc" in out and "index format 1" in out
+        assert "atc" in out and "index format 2" in out
 
-    def test_env_threads_flag_wins(self, synth, tmp_path, monkeypatch):
-        monkeypatch.setenv("ATC_THREADS", "2")
-        out = str(tmp_path / "i.atidx")
-        assert run(["index", "--graph", synth + ".edges",
-                    "--attrs", synth + ".attrs", "--out", out,
-                    "--threads", "1"]) == EXIT_OK
-        monkeypatch.setenv("ATC_THREADS", "garbage")
-        assert run(["index", "--graph", synth + ".edges",
-                    "--attrs", synth + ".attrs", "--out", out]) == EXIT_USAGE
+    def test_v1_index_rejected(self, cycle, capsys):
+        d, _ = cycle
+        v1 = d / "v1.atidx"
+        v1.write_text(V1_INDEX)
+        g = load_attributes(str(d / "g.attrs"), load_edge_list(str(d / "g.edges")))
+        with pytest.raises(VersionMismatchError):
+            load_index(str(v1), g)
+        assert self.query(d, str(v1)) == EXIT_INPUT
+        assert "version 1" in capsys.readouterr().err
+
+    def test_wrong_graph_index_rejected(self, cycle, capsys):
+        d, idx = cycle
+        (d / "g2.edges").write_text("0 1\n1 2\n2 3\n0 3\n1 3\n")
+        capsys.readouterr()
+        assert self.query(d, idx, "g2.edges") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "different graph" in err
+
+    def test_reordered_graph_file_accepted(self, cycle, capsys):
+        d, idx = cycle
+        (d / "g3.edges").write_text("3 2\n0 3\n2 1\n1 0\n")
+        capsys.readouterr()
+        assert self.query(d, idx) == EXIT_OK
+        want = capsys.readouterr().out
+        assert self.query(d, idx, "g3.edges") == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 class TestEndToEnd:

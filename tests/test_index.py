@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, Subgraph, UnknownAttributeError, project_on_attribute
 from atc.index import (
-    ATIndex,
     ChecksumError,
     CorruptIndexError,
+    GraphMismatchError,
     NOT_IN_PROJECTION,
     VersionMismatchError,
     build_index,
@@ -31,7 +31,6 @@ class TestBuild:
         g = k4_plus_tail()
         idx = build_index(g)
         assert idx.attr_edge_truss[0] == idx.edge_truss
-        assert idx.attr_vertex_truss[0] == idx.vertex_truss
 
     def test_vertex_trussness_example(self):
         # q1 in a 4-truss: vertex trussness 4
@@ -52,11 +51,12 @@ class TestBuild:
         g.attach_attributes({0: ["w"], 1: ["w"], 2: ["z"]})
         idx = build_index(g)
         w, z = g.attr_id("w"), g.attr_id("z")
-        i0, i2 = g.internal(0), g.internal(2)
-        assert idx.attribute_vertex(w, i2) == NOT_IN_PROJECTION
+        i0, i1, i2 = g.internal(0), g.internal(1), g.internal(2)
+        assert idx.attribute_edge(w, i0, i1) == 2
+        assert idx.attribute_edge(w, i1, i2) == NOT_IN_PROJECTION
         assert idx.attribute_edge(z, i0, i2) == NOT_IN_PROJECTION
         with pytest.raises(UnknownAttributeError):
-            idx.attribute_vertex(99, i0)
+            idx.attribute_edge(99, i0, i1)
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
@@ -65,25 +65,11 @@ class TestBuild:
         g = rand_graph(rng, rng.randint(3, 15), 0.35, n_attrs=3)
         idx = build_index(g)
         for w in range(len(g.attr_labels)):
-            et, vt = truss_decompose(project_on_attribute(g, w))
+            et, _ = truss_decompose(project_on_attribute(g, w))
             assert idx.attr_edge_truss[w] == et
-            assert idx.attr_vertex_truss[w] == vt
             # projection dominance
             for e, t in et.items():
                 assert t <= idx.edge_truss[e]
-
-    def test_inverted_list_order_and_coverage(self):
-        rng = random.Random(3)
-        g = rand_graph(rng, 20, 0.3, n_attrs=3)
-        idx = build_index(g)
-        total = 0
-        for w, inv in idx.inverted.items():
-            assert [v for v, _ in inv] != []
-            assert set(v for v, _ in inv) == set(g.vertices_with(w))
-            keys = [(-t, v) for v, t in inv]
-            assert keys == sorted(keys)
-            total += len(inv)
-        assert total == g.total_attr_count()
 
     def test_entry_count(self):
         rng = random.Random(9)
@@ -92,14 +78,8 @@ class TestBuild:
         expect = g.m + g.n
         for w in range(len(g.attr_labels)):
             proj = project_on_attribute(g, w)
-            expect += proj.num_edges() + proj.num_vertices()
+            expect += proj.num_edges()
         assert idx.entry_count() == expect
-
-    def test_threads_equivalent(self):
-        g = rand_graph(random.Random(17), 25, 0.25, n_attrs=4)
-        a = build_index(g, threads=1)
-        b = build_index(g, threads=3)
-        assert a == b
 
 
 class TestSerialization:
@@ -135,7 +115,6 @@ class TestSerialization:
             assert loaded.attribute_edge(w, u, v) == idx.attribute_edge(w, u, v)
             x = rng.randrange(g.n)
             assert loaded.structural_vertex(x) == idx.structural_vertex(x)
-            assert loaded.attribute_vertex(w, x) == idx.attribute_vertex(w, x)
 
     def test_truncated_file_corrupt(self, tmp_path):
         g = rand_graph(random.Random(6), 10, 0.4, n_attrs=2)
@@ -167,7 +146,7 @@ class TestSerialization:
         # tamper with one data row but keep the CRC line
         for i, line in enumerate(lines):
             parts = line.split("\t")
-            if len(parts) >= 2 and parts[0] not in ("ATIDX", "TAUMAX",
+            if len(parts) >= 2 and parts[0] not in ("ATIDX", "GRAPH", "TAUMAX",
                                                     "SECTION", "CRC"):
                 parts[-1] = str(int(parts[-1]) + 1)
                 lines[i] = "\t".join(parts)
@@ -175,3 +154,49 @@ class TestSerialization:
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(ChecksumError):
             load_index(path, g)
+
+    def test_missing_section_corrupt(self, tmp_path):
+        # cut the file after a whole section: every CRC still matches
+        g = rand_graph(random.Random(9), 10, 0.4, n_attrs=2)
+        idx, path = self._roundtrip(g, tmp_path)
+        lines = open(path).read().splitlines()
+        last_crc = max(i for i, line in enumerate(lines[:-1]) if line.startswith("CRC\t"))
+        open(path, "w").write("\n".join(lines[:last_crc + 1]) + "\n")
+        with pytest.raises(CorruptIndexError):
+            load_index(path, g)
+
+
+def square(edges=((0, 1), (1, 2), (2, 3), (0, 3)), table=None):
+    g = Graph.from_edges(list(edges))
+    g.attach_attributes(table or {0: ["x"], 1: ["x"], 2: ["x"], 3: ["y"]})
+    return g
+
+
+class TestGraphCheck:
+    def _saved(self, tmp_path):
+        g = square()
+        path = str(tmp_path / "sq.atidx")
+        save_index(build_index(g), g, path)
+        return path
+
+    def test_added_edge_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with pytest.raises(GraphMismatchError):
+            load_index(path, square(edges=((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))))
+
+    def test_attribute_change_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        other = square(table={0: ["x"], 1: ["x"], 2: ["x"], 3: ["x"]})
+        with pytest.raises(GraphMismatchError):
+            load_index(path, other)
+        renamed = square(table={0: ["x"], 1: ["x"], 2: ["x"], 3: ["z"]})
+        with pytest.raises(GraphMismatchError):
+            load_index(path, renamed)
+
+    def test_reordered_equal_graph_loads(self, tmp_path):
+        path = self._saved(tmp_path)
+        # other edge order and endpoint order: other internal ids, same graph
+        g = square(edges=((3, 2), (0, 3), (2, 1), (1, 0)),
+                   table={3: ["y"], 2: ["x"], 1: ["x"], 0: ["x"]})
+        assert g.ext_ids != square().ext_ids
+        assert load_index(path, g) == build_index(g)

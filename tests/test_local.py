@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, QuerySpec, UNREACHABLE
-from atc.greedy import NoFeasibleCommunity
+from atc.graph import Graph, QuerySpec, UNREACHABLE, UnknownAttributeError
+from atc.greedy import NoFeasibleCommunity, basic_search, bulk_search
 from atc.index import build_index
 from atc.local import (
     BAD,
@@ -174,6 +174,11 @@ class TestExpandCandidate:
         eta = rng.randint(1, g.n)
         q = QuerySpec(query_nodes=frozenset(terms), query_attrs=frozenset({0}),
                       eta=eta)
+        if not g.attr_labels:
+            for nodes in ({0}, {0, 1}):
+                with pytest.raises(UnknownAttributeError):
+                    steiner_seed(g, idx, QuerySpec(frozenset(nodes), frozenset({0})))
+            return
         try:
             seed = steiner_seed(g, idx, q)
         except NoFeasibleCommunity:
@@ -181,6 +186,21 @@ class TestExpandCandidate:
         gt = expand_candidate(g, idx, seed, q)
         assert gt.num_vertices() <= max(eta, len(seed.vertices))
         assert set(seed.vertices) <= set(gt.vertices)
+
+
+class TestUnknownAttribute:
+    @pytest.mark.parametrize("nodes", [{0}, {0, 1}])
+    def test_every_entry_point_raises(self, nodes):
+        g = Graph.from_edges(itertools.combinations(range(4), 2))
+        g.attach_attributes({})
+        idx = build_index(g)
+        q = QuerySpec(frozenset(nodes), frozenset({0}), k=3, d=2)
+        calls = (lambda: basic_search(g, q), lambda: bulk_search(g, q),
+                 lambda: bulk_search(Subgraph.full(g), q),
+                 lambda: steiner_seed(g, idx, q), lambda: locatc_search(g, idx, q))
+        for call in calls:
+            with pytest.raises(UnknownAttributeError):
+                call()
 
 
 class TestAutoParams:
