@@ -162,10 +162,19 @@ def cmd_decompose(args) -> int:
 def _parse_query(args, g: Graph) -> QuerySpec:
     if args.auto_kd and (args.k is not None or args.d is not None):
         raise UsageError("--auto-kd is mutually exclusive with --k/--d")
-    nodes = frozenset(g.internal(int(t)) for t in args.nodes.split(","))
+    ids = []
+    for t in args.nodes.split(","):
+        try:
+            ids.append(int(t))
+        except ValueError:
+            raise UsageError(f"--nodes: not a vertex id: {t!r}") from None
+    nodes = frozenset(g.internal(v) for v in ids)
     attrs = frozenset()
     if args.attrs:
-        attrs = frozenset(g.attr_id(t) for t in args.attrs.split(","))
+        labels = args.attrs.split(",")
+        if "" in labels:
+            raise UsageError(f"--attrs: empty label in {args.attrs!r}")
+        attrs = frozenset(g.attr_id(t) for t in labels)
     return QuerySpec(
         query_nodes=nodes,
         query_attrs=attrs,

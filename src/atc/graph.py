@@ -164,8 +164,13 @@ def load_edge_list(path: str) -> Graph:
 
 
 def load_attributes(path: str, g: Graph) -> Graph:
-    """Load TAB-separated "v<TAB>label..." lines onto g; repeated lines union."""
-    table: dict[int, set[str]] = {}
+    """Load TAB-separated "v<TAB>label..." lines onto g; repeated lines union.
+
+    Labels get attribute ids in the order the file first names them, taking
+    all of a vertex's labels at its first line, so the ids do not depend on
+    the string hash seed.
+    """
+    table: dict[int, list[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -181,7 +186,7 @@ def load_attributes(path: str, g: Graph) -> Graph:
             for t in toks[1:]:
                 if not t:
                     raise GraphFormatError(f"{path}:{lineno}: empty label token")
-            table.setdefault(ext, set()).update(toks[1:])
+            table.setdefault(ext, []).extend(toks[1:])
     g.attach_attributes(table)
     return g
 

@@ -30,43 +30,52 @@ from .truss import edge_key, max_trussness_connecting, maximal_kd_truss
 TAU_FLOOR = 2
 
 
-def attribute_truss_distance(idx: ATIndex, e: tuple[int, int],
-                             query_attrs, gamma: Fraction) -> Fraction:
-    """1 + gamma * total trussness shortfall of e across G and the projections."""
+def _shortfall(idx: ATIndex, e: tuple[int, int], query_attrs) -> int:
+    """Total trussness shortfall of e below tau_max in G and the projections."""
     u, v = e
     shortfall = idx.tau_max - idx.structural_edge(u, v)
-    for w in sorted(query_attrs):
+    for w in query_attrs:
         tau = idx.attribute_edge(w, u, v)
         if tau == NOT_IN_PROJECTION:
             tau = TAU_FLOOR
         shortfall += idx.tau_max - tau
-    return 1 + gamma * shortfall
+    return shortfall
 
 
-def _dijkstra(g: Graph, source: int, weight) -> tuple[dict, dict]:
-    """Shortest paths under rational edge weights.
+def attribute_truss_distance(idx: ATIndex, e: tuple[int, int],
+                             query_attrs, gamma: Fraction) -> Fraction:
+    """1 + gamma * total trussness shortfall of e across G and the projections."""
+    return 1 + gamma * _shortfall(idx, e, sorted(query_attrs))
+
+
+def _dijkstra(g: Graph, source: int, weight, targets) -> tuple[dict, dict]:
+    """Shortest paths under positive integer edge weights, until every
+    target is settled.
 
     Ties break lexicographically on (weight, hop count, parent id) so paths
-    are deterministic.  Returns (cost map, parent map).
+    are deterministic.  Returns (cost map, parent map) of the settled
+    vertices; a settled vertex's parent is settled before it, so the path
+    to every settled vertex is final.
     """
-    best: dict[int, tuple] = {source: (Fraction(0), 0, -1)}
-    parent = {source: None}
-    heap = [(Fraction(0), 0, -1, source)]
-    done = set()
-    while heap:
+    best: dict[int, tuple] = {source: (0, 0, -1)}
+    costs: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    left = set(targets)
+    heap = [(0, 0, -1, source)]
+    while heap and left:
         cost, hops, par, v = heapq.heappop(heap)
-        if v in done:
+        if v in costs:
             continue
-        done.add(v)
+        costs[v] = cost
         parent[v] = par if par >= 0 else None
+        left.discard(v)
         for u in g.adj[v]:
-            if u in done:
+            if u in costs:
                 continue
             cand = (cost + weight(v, u), hops + 1, v)
             if u not in best or cand < best[u]:
                 best[u] = cand
                 heapq.heappush(heap, (*cand, u))
-    costs = {v: t[0] for v, t in best.items() if v in done}
     return costs, parent
 
 
@@ -81,33 +90,37 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
     """2-approximate Steiner tree over V_q under attribute truss distance.
 
     Metric closure over the terminals, its minimum spanning tree, expansion
-    back to graph paths, then pruning of non-terminal leaves.
+    back to graph paths, then pruning of non-terminal leaves.  Edge weights
+    are the distances times gamma's denominator, integers with the same
+    order and ties; each terminal's Dijkstra stops once it has settled every
+    later terminal, the only closure entries it contributes.
     """
     for w in q.query_attrs:
         g.vertices_with(w)  # raises UnknownAttributeError
     terminals = sorted(q.query_nodes)
     if len(terminals) == 1:
         return SteinerSeed(frozenset(terminals), (), Fraction(0))
-    wcache: dict[tuple[int, int], Fraction] = {}
+    gamma = Fraction(q.gamma)
+    attrs = sorted(q.query_attrs)
+    wcache: dict[tuple[int, int], int] = {}
 
     def weight(u, v):
         e = edge_key(u, v)
         w = wcache.get(e)
         if w is None:
-            w = attribute_truss_distance(idx, e, q.query_attrs, q.gamma)
+            w = gamma.denominator + gamma.numerator * _shortfall(idx, e, attrs)
             wcache[e] = w
         return w
 
-    costs = {}
-    parents = {}
-    for t in terminals:
-        costs[t], parents[t] = _dijkstra(g, t, weight)
     closure = []
-    for i, a in enumerate(terminals):
-        for b in terminals[i + 1:]:
-            if b not in costs[a]:
+    parents = {}
+    for i, a in enumerate(terminals[:-1]):
+        later = terminals[i + 1:]
+        costs, parents[a] = _dijkstra(g, a, weight, later)
+        for b in later:
+            if b not in costs:
                 raise NoFeasibleCommunity("query_nodes_disconnected")
-            closure.append((costs[a][b], a, b))
+            closure.append((costs[b], a, b))
     closure.sort()
     # Kruskal on the closure
     comp = {t: t for t in terminals}
@@ -150,7 +163,7 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
                     adj[u].discard(v)
                 changed = True
     final = {edge_key(u, v) for u, ns in adj.items() for v in ns}
-    total = sum((weight(u, v) for u, v in final), Fraction(0))
+    total = Fraction(sum(weight(u, v) for u, v in final), gamma.denominator)
     return SteinerSeed(frozenset(adj.keys()) | term, tuple(sorted(final)), total)
 
 
@@ -180,30 +193,36 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
 
     Frontier vertices are ranked by (passes the majority test, number of
     covered query attributes, structural trussness, lowest id); all induced
-    edges are added at the end.
+    edges are added at the end.  The first two keys depend only on the set
+    of query attributes a vertex covers, so the frontier is bucketed by that
+    set, each bucket a heap on the last two keys, and an insertion tests the
+    majority once per bucket.
     """
     members = set(seed.vertices)
     bd = score_of_vertices(g, members, q.query_attrs)
     qattrs = frozenset(q.query_attrs)
-    frontier = set()
+    buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
+    reached = set(members)
+
+    def reach_from(v):
+        for u in g.adj[v]:
+            if u not in reached:
+                reached.add(u)
+                heapq.heappush(buckets.setdefault(qattrs.intersection(g.attrs[u]), []),
+                               (-idx.structural_vertex(u), u))
+
     for v in members:
-        frontier.update(u for u in g.adj[v] if u not in members)
-    covered = {}
-
-    def key(v):
-        cov = covered.get(v)
-        if cov is None:
-            cov = qattrs.intersection(g.attrs[v])
-            covered[v] = cov
-        return (not majority_from_breakdown(cov, bd),
-                -len(cov), -idx.structural_vertex(v), v)
-
-    while len(members) < q.eta and frontier:
-        v = min(frontier, key=key)
-        frontier.discard(v)
+        reach_from(v)
+    while len(members) < q.eta and buckets:
+        cov = min(buckets, key=lambda c: (not majority_from_breakdown(c, bd),
+                                          -len(c), buckets[c][0]))
+        heap = buckets[cov]
+        _, v = heapq.heappop(heap)
+        if not heap:
+            del buckets[cov]
         members.add(v)
         bd.add_vertex(g, v)
-        frontier.update(u for u in g.adj[v] if u not in members)
+        reach_from(v)
     return induced_subgraph(g, members)
 
 

@@ -123,8 +123,11 @@ def is_majority(h: Subgraph, attr_set: Iterable[int], query_attrs,
 
 
 def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown) -> bool:
+    """The majority test in integers: sum_w theta(H, w) >= f(H) / (2|V|) with
+    theta(H, w) = c_w / |V| and f(H) = sum_w c_w^2 / |V|, times 2|V|^2."""
     n = breakdown.size
     if n == 0:
         return False
-    theta_sum = Fraction(sum(c for w, c in breakdown.cover.items() if w in attr_set), n)
-    return theta_sum >= breakdown.score / (2 * n)
+    cover = breakdown.cover
+    covered = sum(c for w, c in cover.items() if w in attr_set)
+    return 2 * n * covered >= sum(c * c for c in cover.values())

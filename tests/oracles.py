@@ -6,6 +6,7 @@ Graph container.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -242,6 +243,123 @@ def rand_graph(rng, n, p, n_attrs=0, attr_p=0.4) -> Graph:
         labels = [f"w{i}" for i in range(n_attrs)]
         table = {}
         for v in range(n):
-            table[v] = {lab for lab in labels if rng.random() < attr_p}
+            table[v] = [lab for lab in labels if rng.random() < attr_p]
         g.attach_attributes(table)
     return g
+
+
+def oracle_majority(attr_set, size, cover) -> bool:
+    """The majority test with Fractions: sum over attr_set of theta(H, w) >=
+    f(H) / (2|V(H)|), where theta(H, w) = c_w / |V(H)|."""
+    if size == 0:
+        return False
+    theta_sum = Fraction(sum(c for w, c in cover.items() if w in attr_set), size)
+    score = Fraction(sum(c * c for c in cover.values()), size)
+    return theta_sum >= score / (2 * size)
+
+
+def oracle_expand(g: Graph, idx, seed_vertices, q) -> set[int]:
+    """Members after majority-guided expansion, rescanning the whole frontier
+    with Fraction majority tests at every insertion."""
+    members = set(seed_vertices)
+    cover = {w: sum(1 for v in members if w in g.attrs[v]) for w in q.query_attrs}
+    frontier = {u for v in members for u in g.adj[v] if u not in members}
+
+    def key(v):
+        cov = set(q.query_attrs) & set(g.attrs[v])
+        return (not oracle_majority(cov, len(members), cover),
+                -len(cov), -idx.vertex_truss[v], v)
+
+    while len(members) < q.eta and frontier:
+        v = min(frontier, key=key)
+        frontier.discard(v)
+        members.add(v)
+        for w in g.attrs[v]:
+            if w in cover:
+                cover[w] += 1
+        frontier.update(u for u in g.adj[v] if u not in members)
+    return members
+
+
+def oracle_truss_distance(idx, e, query_attrs, gamma) -> Fraction:
+    """1 + gamma * trussness shortfall of e below tau_max in G and in the
+    projection of each query attribute (2 where e is absent)."""
+    shortfall = idx.tau_max - idx.edge_truss[e]
+    for w in query_attrs:
+        shortfall += idx.tau_max - idx.attr_edge_truss[w].get(e, 2)
+    return 1 + gamma * shortfall
+
+
+def oracle_steiner_seed(g: Graph, idx, q):
+    """(vertices, edges, weight) of the Steiner seed: a whole-graph Fraction
+    Dijkstra from every terminal, Kruskal on the metric closure, the union of
+    the closure paths, its spanning tree, then non-terminal leaves pruned.
+    None when two terminals are disconnected."""
+    terminals = sorted(q.query_nodes)
+    if len(terminals) == 1:
+        return frozenset(terminals), (), Fraction(0)
+
+    def weight(u, v):
+        return oracle_truss_distance(idx, (min(u, v), max(u, v)), q.query_attrs, q.gamma)
+
+    costs, parents = {}, {}
+    for t in terminals:
+        best = {t: (Fraction(0), 0, -1)}
+        parent, done = {}, set()
+        heap = [(Fraction(0), 0, -1, t)]
+        while heap:
+            cost, hops, par, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            parent[v] = par if par >= 0 else None
+            for u in g.adj[v]:
+                cand = (cost + weight(v, u), hops + 1, v)
+                if u not in done and (u not in best or cand < best[u]):
+                    best[u] = cand
+                    heapq.heappush(heap, (*cand, u))
+        costs[t] = {v: best[v][0] for v in done}
+        parents[t] = parent
+    closure = []
+    for i, a in enumerate(terminals):
+        for b in terminals[i + 1:]:
+            if b not in costs[a]:
+                return None
+            closure.append((costs[a][b], a, b))
+    union = set()
+    joined = {t: {t} for t in terminals}
+    picked = 0
+    for _, a, b in sorted(closure):
+        if joined[a] is joined[b]:
+            continue
+        merged = joined[a] | joined[b]
+        for t in merged:
+            joined[t] = merged
+        picked += 1
+        v = b
+        while v != a:
+            p = parents[a][v]
+            union.add((min(p, v), max(p, v)))
+            v = p
+        if picked == len(terminals) - 1:
+            break
+    tree = {v: set() for e in union for v in e}
+    linked = {v: {v} for v in tree}
+    for u, v in sorted(union, key=lambda e: (weight(*e), e)):
+        if linked[u] is not linked[v]:
+            merged = linked[u] | linked[v]
+            for x in merged:
+                linked[x] = merged
+            tree[u].add(v)
+            tree[v].add(u)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(tree):
+            if v not in terminals and len(tree[v]) <= 1:
+                for u in tree.pop(v):
+                    tree[u].discard(v)
+                changed = True
+    edges = tuple(sorted({(min(u, v), max(u, v)) for u in tree for v in tree[u]}))
+    total = sum((weight(u, v) for u, v in edges), Fraction(0))
+    return frozenset(tree) | frozenset(terminals), edges, total

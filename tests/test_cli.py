@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,35 @@ class TestExitCodes:
         assert out["status"] == "infeasible"
 
 
+class TestQueryTokens:
+    """A malformed --nodes or --attrs token is a usage error (exit 1); a
+    well-formed id or label the graph lacks is an input error (exit 2)."""
+
+    def query(self, synth, nodes, attrs=None):
+        argv = ["query", "--graph", synth + ".edges", "--attr-file", synth + ".attrs",
+                "--algo", "bulk", "--nodes", nodes, "--k", "3", "--d", "3"]
+        return run(argv + (["--attrs", attrs] if attrs is not None else []))
+
+    @pytest.mark.parametrize("nodes,token", [("0,,1", "''"), ("0,x1", "'x1'"),
+                                             ("0,", "''"), ("1.5", "'1.5'")])
+    def test_bad_node_token_usage(self, synth, capsys, nodes, token):
+        assert self.query(synth, nodes) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "usage error" in err and token in err
+
+    @pytest.mark.parametrize("attrs", ["a0,", ",a0", "a0,,a1"])
+    def test_empty_attr_label_usage(self, synth, capsys, attrs):
+        assert self.query(synth, q_node(synth), attrs) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty label" in err and repr(attrs) in err
+
+    def test_unknown_node_and_label_input(self, synth, capsys):
+        assert self.query(synth, "0,99999") == EXIT_INPUT
+        assert self.query(synth, q_node(synth), "nosuchlabel") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "99999" in err and "nosuchlabel" in err
+
+
 class TestQueryOutput:
     def test_json_sorted_keys_and_fields(self, synth, capsys):
         assert run(["query", "--graph", synth + ".edges",
@@ -152,6 +185,23 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert run(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_stdout_independent_of_hash_seed(self, tmp_path):
+        """Attribute ids follow the attribute file, not the str hash salt, so
+        suggested attrs print in the same order in every process."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        atc = [sys.executable, "-m", "atc.cli"]
+        prefix = str(tmp_path / "g")
+        subprocess.run(atc + ["gen", "--n", "300", "--communities", "8", "--seed", "7",
+                              "--out-prefix", prefix], env=env, check=True,
+                       capture_output=True)
+        query = atc + ["query", "--graph", prefix + ".edges", "--attr-file", prefix + ".attrs",
+                       "--nodes", "11,34", "--attrs", "a0,a1", "--k", "4", "--d", "4",
+                       "--algo", "basic", "--suggest-on-bad"]
+        outs = {subprocess.run(query, env=dict(env, PYTHONHASHSEED=str(h)), check=True,
+                               capture_output=True, text=True).stdout for h in range(1, 5)}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["status"] == "bad_query"
 
     def test_index_file_byte_identical(self, synth, tmp_path):
         p1, p2 = str(tmp_path / "1.atidx"), str(tmp_path / "2.atidx")

@@ -83,6 +83,13 @@ class TestLoadAttributes:
         load_attributes(write(tmp_path, "a", "0\tDB\n0\tDB\tDM\n"), g)
         assert len(g.attrs[g.internal(0)]) == 2
 
+    def test_label_ids_in_file_order(self, tmp_path):
+        labels = [f"w{(7 * i) % 20}" for i in range(20)]
+        text = "0\t" + "\t".join(labels) + "\t" + labels[3] + "\n1\tnew\t" + labels[0] + "\n"
+        g = load_edge_list(write(tmp_path, "g", "0 1\n"))
+        load_attributes(write(tmp_path, "a", text), g)
+        assert g.attr_labels == labels + ["new"]
+
     def test_unknown_vertex(self, tmp_path):
         g = load_edge_list(write(tmp_path, "g", "0 1\n"))
         with pytest.raises(UnknownVertexError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, QuerySpec, Subgraph
+from atc.graph import Graph, QuerySpec, Subgraph, UnknownAttributeError
 from atc.greedy import (
     NoFeasibleCommunity,
     basic_search,
@@ -192,6 +192,10 @@ def test_results_verified_against_oracle(seed):
     q = QuerySpec(query_nodes=frozenset({rng.randrange(g.n)}),
                   query_attrs=frozenset({0}), k=k, d=d)
     for search in (basic_search, bulk_search):
+        if not g.attr_labels:
+            with pytest.raises(UnknownAttributeError):
+                search(g, q)
+            continue
         try:
             res, _ = search(g, q)
         except NoFeasibleCommunity:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, QuerySpec, UNREACHABLE, UnknownAttributeError
 from atc.greedy import NoFeasibleCommunity, basic_search, bulk_search
+import atc.local
 from atc.index import build_index
 from atc.local import (
     BAD,
     GOOD,
+    SteinerSeed,
     attribute_truss_distance,
     auto_params,
     autocomplete_attrs,
@@ -22,7 +25,14 @@ from atc.local import (
 from atc.truss import edge_key, is_kd_truss, max_trussness_connecting, truss_decompose
 from atc.graph import Subgraph, project_on_attribute, query_distance
 
-from oracles import oracle_is_kd_truss, oracle_steiner_opt, rand_graph, result_adj
+from oracles import (
+    oracle_expand,
+    oracle_is_kd_truss,
+    oracle_steiner_opt,
+    oracle_steiner_seed,
+    rand_graph,
+    result_adj,
+)
 
 
 def spec(g, nodes, labels=(), **kw):
@@ -124,6 +134,10 @@ class TestSteinerSeed:
         q = QuerySpec(query_nodes=frozenset(terms),
                       query_attrs=frozenset({0}),
                       gamma=Fraction(rng.randint(0, 3), 5))
+        if not g.attr_labels:
+            with pytest.raises(UnknownAttributeError):
+                steiner_seed(g, idx, q)
+            return
 
         def weight(u, v):
             return attribute_truss_distance(idx, edge_key(u, v),
@@ -186,6 +200,76 @@ class TestExpandCandidate:
         gt = expand_candidate(g, idx, seed, q)
         assert gt.num_vertices() <= max(eta, len(seed.vertices))
         assert set(seed.vertices) <= set(gt.vertices)
+
+
+def random_query(rng, g):
+    """1-4 terminals, 0-3 query attributes, gamma in {0, 1/5, 3/5}."""
+    terms = rng.sample(range(g.n), rng.randint(1, min(4, g.n)))
+    labels = range(len(g.attr_labels))
+    attrs = rng.sample(labels, min(len(labels), rng.randint(0, 3)))
+    gamma = rng.choice([Fraction(0), Fraction(1, 5), Fraction(3, 5)])
+    return QuerySpec(frozenset(terms), frozenset(attrs), gamma=gamma)
+
+
+class TestEquivalenceWithOracles:
+    """The integer, early-stopping seed and the bucketed expansion return
+    what the whole-graph Fraction Dijkstra and the frontier rescan return."""
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=200, deadline=None)
+    def test_steiner_seed_matches_oracle(self, seed_int):
+        rng = random.Random(seed_int)
+        g = rand_graph(rng, rng.randint(2, 14), rng.choice([0.15, 0.3, 0.5]), n_attrs=4)
+        idx = build_index(g)
+        q = random_query(rng, g)
+        want = oracle_steiner_seed(g, idx, q)
+        if want is None:
+            with pytest.raises(NoFeasibleCommunity) as exc:
+                steiner_seed(g, idx, q)
+            assert exc.value.reason == "query_nodes_disconnected"
+            return
+        assert steiner_seed(g, idx, q) == SteinerSeed(*want)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_matches_oracle_for_every_eta(self, seed_int):
+        rng = random.Random(seed_int)
+        g = rand_graph(rng, rng.randint(2, 16), rng.choice([0.15, 0.3, 0.5]), n_attrs=4)
+        idx = build_index(g)
+        q = random_query(rng, g)
+        seeds = [frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))]
+        try:
+            seeds.append(steiner_seed(g, idx, q).vertices)
+        except NoFeasibleCommunity:
+            pass
+        for vs in seeds:
+            seed = SteinerSeed(vs, (), Fraction(0))
+            for eta in range(len(vs), g.n + 1):
+                qe = dataclasses.replace(q, eta=eta)
+                got = expand_candidate(g, idx, seed, qe)
+                assert set(got.vertices) == oracle_expand(g, idx, vs, qe)
+
+
+class TestExpansionWork:
+    def test_majority_tests_per_bucket_not_per_frontier_vertex(self, monkeypatch):
+        """A hub joined to 500 leaves: every insertion tests the majority once
+        per covered-attribute set, not once per frontier vertex."""
+        leaves = range(1, 501)
+        g = Graph.from_edges([(0, v) for v in leaves])
+        g.attach_attributes({v: [lab for lab, m in (("a", 2), ("b", 3), ("c", 5))
+                                 if v % m == 0] for v in leaves})
+        idx = build_index(g)
+        q = spec(g, [0], ["a", "b"], eta=400)
+        seed = steiner_seed(g, idx, q)
+        calls = []
+        majority = atc.local.majority_from_breakdown
+        monkeypatch.setattr(atc.local, "majority_from_breakdown",
+                            lambda *a: calls.append(1) or majority(*a))
+        gt = expand_candidate(g, idx, seed, q)
+        insertions = gt.num_vertices() - len(seed.vertices)
+        covs = {q.query_attrs.intersection(g.attrs[g.internal(v)]) for v in leaves}
+        assert insertions == 399 and len(covs) == 4
+        assert len(calls) <= (insertions + 1) * len(covs)
 
 
 class TestUnknownAttribute:
@@ -264,6 +348,10 @@ class TestLocATC:
         q = QuerySpec(query_nodes=frozenset({rng.randrange(g.n)}),
                       query_attrs=frozenset({0}),
                       k=rng.randint(2, 4), d=rng.randint(1, 3))
+        if not g.attr_labels:
+            with pytest.raises(UnknownAttributeError):
+                locatc_search(g, idx, q)
+            return
         try:
             res = locatc_search(g, idx, q)
         except NoFeasibleCommunity:

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from atc.graph import Graph, Subgraph, induced_subgraph
 from atc.score import (
     attribute_score,
+    ScoreBreakdown,
     is_majority,
     local_marginal_gain,
+    majority_from_breakdown,
     removal_set,
     score_contribution,
     score_of_vertices,
 )
 
-from oracles import oracle_score, rand_graph
+from oracles import oracle_majority, oracle_score, rand_graph
 
 
 def attributed(n, table, edges=None):
@@ -197,6 +199,14 @@ class TestMajorityAndMonotonicity:
         g = attributed(4, {v: ["a"] for v in range(4)})
         h = Subgraph.full(g)
         assert not is_majority(h, set(), [g.attr_id("a")])
+
+    @given(st.integers(0, 40), st.lists(st.integers(0, 40), max_size=4),
+           st.sets(st.integers(0, 5)))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_majority_matches_fraction_formula(self, size, counts, attr_set):
+        cover = {w: min(c, size) for w, c in enumerate(counts)}
+        bd = ScoreBreakdown(size, cover)
+        assert majority_from_breakdown(attr_set, bd) == oracle_majority(attr_set, size, cover)
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
