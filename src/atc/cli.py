@@ -7,6 +7,7 @@ with sorted keys, TSV reports) and byte-identical for identical argv + seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .graph import (
     UnknownVertexError,
     load_attributes,
     load_edge_list,
+    parse_vertex_id,
 )
 from .greedy import NoFeasibleCommunity, basic_search, bulk_search
 from .harness import (
@@ -70,6 +72,14 @@ def format_score(x: Fraction) -> str:
     return f"{sign}{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type: a Fraction, with "1/0" a bad value rather than a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _load_graph(graph_path: str, attr_path: str | None) -> Graph:
     g = load_edge_list(graph_path)
     if attr_path:
@@ -103,9 +113,9 @@ def build_parser() -> _Parser:
     pq.add_argument("--d", type=int, default=None)
     pq.add_argument("--auto-kd", action="store_true",
                     help="derive (k,d) from the candidate graph (local only)")
-    pq.add_argument("--gamma", type=Fraction, default=Fraction(1, 5))
+    pq.add_argument("--gamma", type=fraction, default=Fraction(1, 5))
     pq.add_argument("--eta", type=int, default=1000)
-    pq.add_argument("--epsilon", type=Fraction, default=Fraction(3, 100))
+    pq.add_argument("--epsilon", type=fraction, default=Fraction(3, 100))
     pq.add_argument("--suggest-on-bad", action="store_true")
     pq.add_argument("--fail-on-empty", action="store_true")
 
@@ -159,32 +169,30 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _parse_query(args, g: Graph) -> QuerySpec:
+def _parse_query(args) -> tuple[QuerySpec, list[str]]:
+    """Check the query flags before any file is read; a bad one is a usage
+    error.  Returns the query on external vertex ids, and the labels."""
     if args.auto_kd and (args.k is not None or args.d is not None):
         raise UsageError("--auto-kd is mutually exclusive with --k/--d")
-    ids = []
-    for t in args.nodes.split(","):
-        try:
-            ids.append(int(t))
-        except ValueError:
-            raise UsageError(f"--nodes: not a vertex id: {t!r}") from None
-    nodes = frozenset(g.internal(v) for v in ids)
-    attrs = frozenset()
-    if args.attrs:
-        labels = args.attrs.split(",")
-        if "" in labels:
-            raise UsageError(f"--attrs: empty label in {args.attrs!r}")
-        attrs = frozenset(g.attr_id(t) for t in labels)
-    return QuerySpec(
-        query_nodes=nodes,
-        query_attrs=attrs,
-        k=args.k if args.k is not None else 4,
-        d=args.d if args.d is not None else 4,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        eta=args.eta,
-        k_d_auto=args.auto_kd,
-    )
+    try:
+        nodes = frozenset(parse_vertex_id(t) for t in args.nodes.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--nodes: {exc}") from None
+    labels = args.attrs.split(",") if args.attrs else []
+    if "" in labels:
+        raise UsageError(f"--attrs: empty label in {args.attrs!r}")
+    try:
+        return QuerySpec(
+            query_nodes=nodes,
+            k=args.k if args.k is not None else 4,
+            d=args.d if args.d is not None else 4,
+            epsilon=args.epsilon,
+            gamma=args.gamma,
+            eta=args.eta,
+            k_d_auto=args.auto_kd,
+        ), labels
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _result_json(g: Graph, res, status: str, suggestions=()) -> str:
@@ -210,8 +218,11 @@ def _result_json(g: Graph, res, status: str, suggestions=()) -> str:
 
 
 def cmd_query(args) -> int:
+    q, labels = _parse_query(args)
     g = _load_graph(args.graph, args.attr_file)
-    q = _parse_query(args, g)
+    q = dataclasses.replace(
+        q, query_nodes=frozenset(g.internal(v) for v in q.query_nodes),
+        query_attrs=frozenset(g.attr_id(t) for t in labels))
     if args.suggest_on_bad:
         cls = classify_query(g, None, q)
         if cls.status == BAD:
@@ -252,8 +263,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g = load_edge_list(args.graph)
-    load_attributes(args.attrs, g)
+    g = _load_graph(args.graph, args.attrs)
     gt = read_truth(args.truth)
     queries = read_queries(args.queries)
     if args.algo == "local":

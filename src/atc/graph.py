@@ -127,6 +127,9 @@ class Graph:
     def total_attr_count(self) -> int:
         return sum(len(a) for a in self.attrs)
 
+    def has_vertex(self, v: int) -> bool:
+        return 0 <= v < self.n
+
     def internal(self, ext: int) -> int:
         try:
             return self.ext_to_int[ext]
@@ -138,6 +141,14 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
+
+
+def parse_vertex_id(token: str) -> int:
+    """A vertex id in ASCII digits only; int() would also take "1_0", "+3"
+    and " 7"."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a vertex id: {token!r}")
+    return int(token)
 
 
 def load_edge_list(path: str) -> Graph:
@@ -152,12 +163,9 @@ def load_edge_list(path: str) -> Graph:
             if len(toks) != 2:
                 raise GraphFormatError(f"{path}:{lineno}: expected two tokens, got {len(toks)}")
             try:
-                a, b = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from None
-            if a < 0 or b < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative vertex id")
-            pairs.append((a, b))
+                pairs.append((parse_vertex_id(toks[0]), parse_vertex_id(toks[1])))
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
         raise GraphFormatError(f"{path}: no edges found")
     return Graph.from_edges(pairs)
@@ -178,9 +186,9 @@ def load_attributes(path: str, g: Graph) -> Graph:
                 continue
             toks = line.split("\t")
             try:
-                ext = int(toks[0])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from None
+                ext = parse_vertex_id(toks[0])
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
             if ext not in g.ext_to_int:
                 raise UnknownVertexError(f"{path}:{lineno}: unknown vertex {ext}")
             for t in toks[1:]:
@@ -284,14 +292,15 @@ class Subgraph:
         return removed
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Subgraph:
+def induced_subgraph(src: Graph | Subgraph, vertices: Iterable[int]) -> Subgraph:
+    """The subgraph of src induced on vertices, which must all be in src."""
     vs = set(vertices)
     for v in vs:
-        if not (0 <= v < g.n):
+        if not src.has_vertex(v):
             raise UnknownVertexError(v)
-    adj = {v: {u for u in g.adj[v] if u in vs} for v in vs}
+    adj = {v: vs.intersection(src.adj[v]) for v in vs}
     m = sum(len(s) for s in adj.values()) // 2
-    return Subgraph(g, adj, m)
+    return Subgraph(src if isinstance(src, Graph) else src.parent, adj, m)
 
 
 def project_on_attribute(g: Graph, w: int) -> Subgraph:

@@ -1,9 +1,11 @@
 """Top-down greedy peeling: single-vertex (basic) and bulk-deletion search.
 
-Both start from the maximal (k,d)-truss around the query nodes, repeatedly
-delete the least useful non-query vertices, re-maintain the (k,d)-truss, and
-return the best-scoring intermediate candidate.  Candidates are kept as a
-deletion log over the starting subgraph, never as full snapshots.
+Both run one loop (`_peel`): start from the maximal (k,d)-truss around the
+query nodes, repeatedly delete the least useful non-query vertices,
+re-maintain the (k,d)-truss, and return the best-scoring intermediate
+candidate.  They differ only in what they delete per round.  Candidates
+are kept as a deletion log over the starting subgraph, never as full
+snapshots.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from fractions import Fraction
 
 from .graph import Graph, QuerySpec, Subgraph, query_distance
 from .score import (
-    attribute_score,
     contribution_from_breakdown,
     gain_from_breakdown,
     removal_set,
@@ -62,8 +63,8 @@ class SearchResult:
     wall_time: float
 
 
-def _finish(g: Graph, trace: CandidateTrace, q: QuerySpec, k: int, d: int,
-            algo: str, iterations: int, t0: float) -> SearchResult:
+def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
+            iterations: int, t0: float) -> SearchResult:
     # argmax over candidates; ties go to the latest (smallest) candidate
     best = max(range(len(trace.scores)), key=lambda i: (trace.scores[i], i))
     trace.best = best
@@ -93,32 +94,44 @@ def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> Subgrap
     return kd.subgraph
 
 
-def basic_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
-                 d: int | None = None):
-    """Remove one minimum-contribution vertex per iteration (greedy peel)."""
+def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
+          algo: str, pick):
+    """The greedy framework: delete pick(h, cands, bd, k) per round, restore
+    the (k,d)-truss, and return the best candidate with its trace.
+
+    `cands` lists the non-query vertices of h and `bd` is h's score breakdown.
+    """
     t0 = time.perf_counter()
     k = q.k if k is None else k
     d = q.d if d is None else d
     h = _initial_truss(g, q, k, d)
     parent = h.parent
-    trace = CandidateTrace(h.copy(), [attribute_score(h, q.query_attrs).score], [], 0)
+    bd = score_of_vertices(parent, h.vertices, q.query_attrs)
+    trace = CandidateTrace(h.copy(), [bd.score], [], 0)
     iterations = 0
     while True:
-        bd = score_of_vertices(parent, h.vertices, q.query_attrs)
         cands = [v for v in h.vertices if v not in q.query_nodes]
         if not cands:
             break
-        u = min(cands, key=lambda v: (contribution_from_breakdown(parent, v, bd), v))
+        ev = [("v", v) for v in pick(h, cands, bd, k)]
         iterations += 1
-        ev = [("v", u)]
-        h.remove_vertex(u)
-        kd = maintain_kd_truss(h, q.query_nodes, k, d, in_place=True, events=ev)
-        if not kd.valid:
+        for _, v in ev:
+            h.remove_vertex(v)
+        if not maintain_kd_truss(h, q.query_nodes, k, d, events=ev).valid:
             break
+        bd = score_of_vertices(parent, h.vertices, q.query_attrs)
         trace.steps.append(ev)
-        trace.scores.append(score_of_vertices(parent, h.vertices, q.query_attrs).score)
-    res = _finish(parent, trace, q, k, d, "basic", iterations, t0)
-    return res, trace
+        trace.scores.append(bd.score)
+    return _finish(trace, q, k, d, algo, iterations, t0), trace
+
+
+def basic_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
+                 d: int | None = None):
+    """Remove one minimum-contribution vertex per iteration (greedy peel)."""
+    def pick(h, cands, bd, k):
+        return [min(cands, key=lambda v: (
+            contribution_from_breakdown(h.parent, v, bd), v))]
+    return _peel(g, q, k, d, "basic", pick)
 
 
 def bulk_batch_size(n: int, epsilon: Fraction) -> int:
@@ -129,38 +142,11 @@ def bulk_batch_size(n: int, epsilon: Fraction) -> int:
 def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
                 d: int | None = None):
     """Each iteration removes the batch of smallest-marginal-gain vertices."""
-    t0 = time.perf_counter()
-    k = q.k if k is None else k
-    d = q.d if d is None else d
-    h = _initial_truss(g, q, k, d)
-    parent = h.parent
-    trace = CandidateTrace(h.copy(), [attribute_score(h, q.query_attrs).score], [], 0)
-    iterations = 0
-    while True:
-        cands = [v for v in h.vertices if v not in q.query_nodes]
-        if not cands:
-            break
-        bd = score_of_vertices(parent, h.vertices, q.query_attrs)
-        gains = {}
-        for v in cands:
-            gains[v] = gain_from_breakdown(parent, removal_set(h, v, k), bd)
-        cands.sort(key=lambda v: (gains[v], v))
-        batch = cands[:bulk_batch_size(h.num_vertices(), q.epsilon)]
-        iterations += 1
-        ev = []
-        for v in batch:
-            if h.has_vertex(v):  # earlier batch removals never drop peers, but be safe
-                ev.append(("v", v))
-                h.remove_vertex(v)
-        kd = maintain_kd_truss(h, q.query_nodes, k, d, in_place=True, events=ev)
-        if not kd.valid:
-            break
-        trace.steps.append(ev)
-        trace.scores.append(score_of_vertices(parent, h.vertices, q.query_attrs).score)
-        if h.num_vertices() < k:
-            break  # no k-truss edge can survive below k vertices
-    res = _finish(parent, trace, q, k, d, "bulk", iterations, t0)
-    return res, trace
+    def pick(h, cands, bd, k):
+        ranked = sorted(cands, key=lambda v: (
+            gain_from_breakdown(h.parent, removal_set(h, v, k), bd), v))
+        return ranked[:bulk_batch_size(h.num_vertices(), q.epsilon)]
+    return _peel(g, q, k, d, "bulk", pick)
 
 
 def iteration_bound(n: int, k: int, epsilon: Fraction) -> int:

@@ -121,34 +121,16 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
             if b not in costs:
                 raise NoFeasibleCommunity("query_nodes_disconnected")
             closure.append((costs[b], a, b))
-    closure.sort()
-    # Kruskal on the closure
-    comp = {t: t for t in terminals}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     union_edges: set[tuple[int, int]] = set()
-    picked = 0
-    for _, a, b in closure:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        comp[ra] = rb
-        picked += 1
+    for a, b in _kruskal((a, b) for _, a, b in sorted(closure)):
         # expand closure edge (a,b) to the graph path found from terminal a
         v = b
         while v != a:
             p = parents[a][v]
             union_edges.add(edge_key(p, v))
             v = p
-        if picked == len(terminals) - 1:
-            break
     # spanning tree of the union, then prune non-terminal leaves
-    tree = _mst_of_edges(union_edges, weight)
+    tree = _kruskal(sorted(union_edges, key=lambda e: (weight(*e), e)))
     adj: dict[int, set[int]] = {}
     for u, v in tree:
         adj.setdefault(u, set()).add(v)
@@ -167,8 +149,8 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
     return SteinerSeed(frozenset(adj.keys()) | term, tuple(sorted(final)), total)
 
 
-def _mst_of_edges(edges, weight):
-    ordered = sorted(edges, key=lambda e: (weight(*e), e))
+def _kruskal(ordered_edges):
+    """The edges of a minimum spanning forest, given edges in weight order."""
     comp: dict[int, int] = {}
 
     def find(x):
@@ -179,7 +161,7 @@ def _mst_of_edges(edges, weight):
         return x
 
     out = []
-    for u, v in ordered:
+    for u, v in ordered_edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             comp[ru] = rv

@@ -28,15 +28,6 @@ class ScoreBreakdown:
         num = sum(c * c for c in self.cover.values())
         return Fraction(num, self.size)
 
-    def copy(self) -> "ScoreBreakdown":
-        return ScoreBreakdown(self.size, dict(self.cover))
-
-    def remove_vertex(self, g: Graph, v: int) -> None:
-        self.size -= 1
-        for w in g.attrs[v]:
-            if w in self.cover:
-                self.cover[w] -= 1
-
     def add_vertex(self, g: Graph, v: int) -> None:
         self.size += 1
         for w in g.attrs[v]:

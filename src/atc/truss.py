@@ -16,6 +16,7 @@ from .graph import (
     Subgraph,
     UNREACHABLE,
     bfs_distances,
+    induced_subgraph,
     query_distance,
 )
 
@@ -87,9 +88,9 @@ def _record(events, ev):
 
 
 def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
-                      in_place: bool = False, events: Optional[list] = None,
-                      sup: Optional[dict] = None) -> KdTruss:
-    """Prune h to its maximal sub-(k,d)-truss around the query nodes.
+                      events: Optional[list] = None) -> KdTruss:
+    """Prune h in place to its maximal sub-(k,d)-truss around the query
+    nodes; a caller that needs h afterwards passes h.copy().
 
     Alternates edge-support peeling (threshold k-2) and query-distance rounds
     (threshold d, distances recomputed inside the surviving subgraph) until a
@@ -100,13 +101,10 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
     exact order applied, so the run can be replayed.
     """
     qs = sorted(set(query_nodes))
-    if not in_place:
-        h = h.copy()
     for q in qs:
         if not h.has_vertex(q):
             return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-    if sup is None:
-        sup = compute_supports(h)
+    sup = compute_supports(h)
     thr = k - 2
     pending = deque(sorted(e for e, s in sup.items() if s < thr))
 
@@ -164,7 +162,7 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
 
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
-                     d: int, events: Optional[list] = None) -> KdTruss:
+                     d: int) -> KdTruss:
     """Maximal (k,d)-truss of the d-ball around the query nodes."""
     qs = sorted(set(query_nodes))
     base = Subgraph.full(g) if isinstance(g, Graph) else g
@@ -176,15 +174,8 @@ def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
         if any(dist[q] == UNREACHABLE for q in qs):
             return KdTruss(None, k, d, False, QUERY_NODES_DISCONNECTED)
         return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-    h = _induced_view(base, [v for v, dv in dist.items() if dv <= d])
-    return maintain_kd_truss(h, qs, k, d, in_place=True, events=events)
-
-
-def _induced_view(h: Subgraph, vertices: Iterable[int]) -> Subgraph:
-    vs = set(vertices)
-    adj = {v: h.adj[v] & vs for v in vs}
-    m = sum(len(s) for s in adj.values()) // 2
-    return Subgraph(h.parent, adj, m)
+    h = induced_subgraph(base, [v for v, dv in dist.items() if dv <= d])
+    return maintain_kd_truss(h, qs, k, d)
 
 
 def max_trussness_connecting(g: Graph | Subgraph, query_nodes: Iterable[int]):
@@ -203,7 +194,7 @@ def max_trussness_connecting(g: Graph | Subgraph, query_nodes: Iterable[int]):
         raise ValueError("query nodes are disconnected")
     edge_tau, vertex_tau = truss_decompose(h)
     if len(qs) == 1 and vertex_tau[qs[0]] == 0:
-        return 0, _induced_view(h, qs)
+        return 0, induced_subgraph(h, qs)
     tau_max = max(edge_tau.values(), default=2)
     for k in range(tau_max, 1, -1):
         adj: dict[int, set[int]] = {}

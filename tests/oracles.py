@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from atc.graph import Graph, UNREACHABLE
@@ -148,6 +149,53 @@ def oracle_score(g: Graph, vertices, query_attrs) -> Fraction:
         c = sum(1 for v in vs if w in g.attrs[v])
         total += c * c
     return Fraction(total, len(vs))
+
+
+def oracle_peel(g: Graph, q, bulk: bool):
+    """The two greedy loops as basic_search and bulk_search ran them before
+    they shared one loop, on from-scratch maintenance and Fraction scores.
+
+    Basic deletes the non-query vertex of least (Q(H) - Q(H - v), id), with
+    Q = f * |V| = sum_w c_w^2; bulk deletes the first ceil(eps/(1+eps)|V|)
+    by (f(H) - f(H - P_H(v)), id), P_H(v) being v and its neighbours of
+    degree k-1.  Returns (vertices, sorted edges, score, iterations,
+    candidate scores), or None when no (k,d)-truss holds the query nodes.
+    """
+    qs, attrs, k, d = q.query_nodes, q.query_attrs, q.k, q.d
+    h, valid, _ = oracle_maintain(adj_of(g), qs, k, d)
+    if not valid:
+        return None
+    candidates, scores = [h], [oracle_score(g, h, attrs)]
+    iterations = 0
+    while True:
+        cands = [v for v in h if v not in qs]
+        if not cands:
+            break
+        size, f = len(h), scores[-1]
+        if bulk:
+            def gain(v):
+                drop = {v} | {u for u in h[v] if len(h[u]) == k - 1}
+                return f - oracle_score(g, set(h) - drop, attrs)
+            cands.sort(key=lambda v: (gain(v), v))
+            batch = cands[:max(1, math.ceil(q.epsilon / (1 + q.epsilon) * size))]
+        else:
+            def contribution(v):
+                return f * size - oracle_score(g, set(h) - {v}, attrs) * (size - 1)
+            batch = [min(cands, key=lambda v: (contribution(v), v))]
+        iterations += 1
+        rest = {v: ns.difference(batch) for v, ns in h.items() if v not in batch}
+        rest, valid, _ = oracle_maintain(rest, qs, k, d)
+        if not valid:
+            break
+        h = rest
+        candidates.append(h)
+        scores.append(oracle_score(g, h, attrs))
+        if bulk and len(h) < k:
+            break
+    best = max(range(len(scores)), key=lambda i: (scores[i], i))
+    h = candidates[best]
+    edges = tuple(sorted((u, v) for u in h for v in h[u] if u < v))
+    return frozenset(h), edges, scores[best], iterations, scores
 
 
 def brute_force_atc_alt(g: Graph, q):

@@ -88,6 +88,14 @@ class TestExitCodes:
         p.write_text("0 1 2\n")
         assert run(["decompose", "--graph", str(p)]) == EXIT_INPUT
 
+    def test_bad_vertex_token_in_file_input_error(self, tmp_path, capsys):
+        # int() would load "1_0" as vertex 10
+        p = tmp_path / "bad"
+        p.write_text("1_0 2\n2 3\n3 1_0\n")
+        assert run(["decompose", "--graph", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a vertex id: '1_0'" in err
+
     def test_corrupt_index_input_error(self, synth, tmp_path):
         idx = str(tmp_path / "i.atidx")
         assert run(["index", "--graph", synth + ".edges",
@@ -118,8 +126,11 @@ class TestQueryTokens:
                 "--algo", "bulk", "--nodes", nodes, "--k", "3", "--d", "3"]
         return run(argv + (["--attrs", attrs] if attrs is not None else []))
 
-    @pytest.mark.parametrize("nodes,token", [("0,,1", "''"), ("0,x1", "'x1'"),
-                                             ("0,", "''"), ("1.5", "'1.5'")])
+    @pytest.mark.parametrize("nodes,token", [
+        ("0,,1", "''"), ("0,x1", "'x1'"), ("0,", "''"), ("1.5", "'1.5'"),
+        # int() reads each of these as some vertex id
+        ("1_1", "'1_1'"), ("+3", "'+3'"), ("0, 1", "' 1'"), ("7 ", "'7 '"),
+        ("\u0663", "'\u0663'")])
     def test_bad_node_token_usage(self, synth, capsys, nodes, token):
         assert self.query(synth, nodes) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -136,6 +147,28 @@ class TestQueryTokens:
         assert self.query(synth, q_node(synth), "nosuchlabel") == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and "99999" in err and "nosuchlabel" in err
+
+
+class TestQueryFlags:
+    """Query flags are checked before any file is read, so a bad one is a
+    usage error (exit 1) even when the graph file does not exist."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--nodes", "0,,1"], ["--nodes", "1_1"],
+        ["--nodes", "0", "--k", "3", "--auto-kd"],
+        ["--nodes", "0", "--k", "1"], ["--nodes", "0", "--d", "-1"],
+        ["--nodes", "0", "--eta", "0"], ["--nodes", "0", "--gamma", "-1"],
+        ["--nodes", "0", "--epsilon", "0"], ["--nodes", "0", "--epsilon", "1/0"],
+        ["--nodes", "0", "--gamma", "1/0"]])
+    def test_usage_error_before_load(self, tmp_path, capsys, flags):
+        assert run(["query", "--graph", str(tmp_path / "nope"), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "usage error" in err
+
+    def test_good_flags_reach_the_missing_file(self, tmp_path, capsys):
+        assert run(["query", "--graph", str(tmp_path / "nope"), "--nodes", "0",
+                    "--gamma", "1/3", "--epsilon", "0.5"]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 class TestQueryOutput:

@@ -58,6 +58,11 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError):
             load_edge_list(write(tmp_path, "g3", "-1 2\n"))
 
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+    def test_strict_vertex_ids(self, tmp_path, token):
+        with pytest.raises(GraphFormatError, match=":2: not a vertex id"):
+            load_edge_list(write(tmp_path, "g", f"0 1\n{token} 2\n"))
+
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError):
             load_edge_list(write(tmp_path, "g", "# nothing\n"))
@@ -94,6 +99,12 @@ class TestLoadAttributes:
         g = load_edge_list(write(tmp_path, "g", "0 1\n"))
         with pytest.raises(UnknownVertexError):
             load_attributes(write(tmp_path, "a", "5\tDB\n"), g)
+
+    @pytest.mark.parametrize("token", ["1_0", "+0", " 0", "0 ", "\u0660", ""])
+    def test_strict_vertex_ids(self, tmp_path, token):
+        g = load_edge_list(write(tmp_path, "g", "0 1\n"))
+        with pytest.raises(GraphFormatError, match=":2: not a vertex id"):
+            load_attributes(write(tmp_path, "a", f"1\tDB\n{token}\tDB\n"), g)
 
     def test_empty_label(self, tmp_path):
         g = load_edge_list(write(tmp_path, "g", "0 1\n"))

@@ -17,7 +17,7 @@ from atc.greedy import (
 from atc.score import score_of_vertices
 from atc.truss import is_kd_truss, maintain_kd_truss
 
-from oracles import adj_of, oracle_is_kd_truss, rand_graph, result_adj
+from oracles import adj_of, oracle_is_kd_truss, oracle_peel, rand_graph, result_adj
 
 
 def two_cliques(a=5, b=4, bridge=True):
@@ -201,3 +201,24 @@ def test_results_verified_against_oracle(seed):
         except NoFeasibleCommunity:
             continue
         assert oracle_is_kd_truss(result_adj(res), q.query_nodes, k, d)
+
+
+@given(st.integers(0, 2**30), st.integers(2, 5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_peel_matches_separate_loops_oracle(seed, k, bulk):
+    """basic and bulk share one loop; each returns what its own loop did."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, rng.randint(4, 13), rng.uniform(0.3, 0.8), n_attrs=3)
+    q = QuerySpec(query_nodes=frozenset(rng.sample(range(g.n), rng.randint(1, 2))),
+                  query_attrs=frozenset(w for w in range(len(g.attr_labels))
+                                        if rng.random() < 0.6),
+                  k=k, d=rng.randint(1, 4),
+                  epsilon=rng.choice([Fraction(3, 100), Fraction(1, 4), Fraction(1)]))
+    expect = oracle_peel(g, q, bulk)
+    search = bulk_search if bulk else basic_search
+    if expect is None:
+        with pytest.raises(NoFeasibleCommunity):
+            search(g, q)
+        return
+    res, trace = search(g, q)
+    assert (res.vertices, res.edges, res.score, res.iterations, trace.scores) == expect

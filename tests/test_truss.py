@@ -165,8 +165,7 @@ class TestMaintain:
         g = rand_graph(rng, 12, 0.3)
         base = Subgraph.full(g)
         events = []
-        kd = maintain_kd_truss(base.copy(), [0], 3, 2, in_place=True,
-                               events=events)
+        kd = maintain_kd_truss(base.copy(), [0], 3, 2, events=events)
         if kd.valid:
             replayed = replay_events(base, events)
             assert set(replayed.edges()) == set(kd.subgraph.edges())
