@@ -61,7 +61,6 @@ from .index import (
 )
 from .local import (
     attribute_truss_distance,
-    auto_params,
     autocomplete_attrs,
     classify_query,
     expand_candidate,

@@ -265,7 +265,7 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph, args.attrs)
     gt = read_truth(args.truth)
-    queries = read_queries(args.queries)
+    queries = read_queries(args.queries, gt)
     if args.algo == "local":
         idx = build_index(g)
 

@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, QuerySpec, induced_subgraph
-from .greedy import SearchResult, basic_search, bulk_search
+from .graph import (Graph, GraphFormatError, QuerySpec, induced_subgraph,
+                    parse_vertex_id, query_distance)
+from .greedy import NoFeasibleCommunity, SearchResult, bulk_search
 from .score import score_of_vertices
 from .truss import diameter, is_kd_truss
 
@@ -203,7 +204,6 @@ def brute_force_atc(g: Graph, q: QuerySpec) -> SearchResult | None:
                 best_sub = h
     if best is None:
         return None
-    from .graph import query_distance
     _, qd = query_distance(best_sub, qs)
     return SearchResult(
         vertices=frozenset(best_sub.vertices),
@@ -248,8 +248,6 @@ def evaluate(g: Graph, gt: GroundTruth, queries: list[GenQuery], run_query,
     Infeasible queries count as zero-F1 rows, keeping algorithms comparable
     on the same denominator.
     """
-    from .greedy import NoFeasibleCommunity
-
     report = EvalReport()
     for gq in queries:
         q = QuerySpec(
@@ -284,10 +282,14 @@ def write_truth(gt: GroundTruth, path: str) -> None:
 def read_truth(path: str) -> GroundTruth:
     comms = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                comms.append(Community(frozenset(int(t) for t in line.split("\t"))))
+                try:
+                    members = frozenset(parse_vertex_id(t) for t in line.split("\t"))
+                except ValueError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
+                comms.append(Community(members))
     return GroundTruth(comms)
 
 
@@ -299,17 +301,27 @@ def write_queries(queries: list[GenQuery], path: str) -> None:
                                        ",".join(q.attrs), q.community))
 
 
-def read_queries(path: str) -> list[GenQuery]:
+def read_queries(path: str, gt: GroundTruth) -> list[GenQuery]:
+    """Queries whose community index must name one of gt's communities."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            nodes_s, attrs_s, comm_s = line.split("\t")
-            nodes = tuple(int(t) for t in nodes_s.split(","))
-            attrs = tuple(t for t in attrs_s.split(",") if t)
-            out.append(GenQuery(nodes, attrs, int(comm_s)))
+            fields = line.split("\t")
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 TAB-separated fields, got {len(fields)}")
+                nodes = tuple(parse_vertex_id(t) for t in fields[0].split(","))
+                comm = fields[2]
+                if not (comm.isascii() and comm.isdigit()) or int(comm) >= len(gt):
+                    raise ValueError(f"no community {comm!r} in the truth file "
+                                     f"({len(gt)} communities)")
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
+            out.append(GenQuery(nodes, tuple(t for t in fields[1].split(",") if t),
+                                int(comm)))
     return out
 
 

@@ -208,14 +208,6 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
     return induced_subgraph(g, members)
 
 
-def auto_params(gt: Subgraph, query_nodes) -> tuple[int, int]:
-    """(k, d) from the candidate graph: largest connecting trussness and its
-    query distance."""
-    k, _ = max_trussness_connecting(gt, query_nodes)
-    _, d = query_distance(gt, query_nodes)
-    return max(2, k), d
-
-
 def autocomplete_attrs(g: Graph, query_nodes) -> frozenset[int]:
     out: set[int] = set()
     for v in query_nodes:
@@ -280,9 +272,7 @@ def classify_query(g: Graph, idx: ATIndex | None, q: QuerySpec) -> QueryClassifi
 
     suggestions = []
     remaining = sorted(q.query_nodes)
-    for _ in range(len(remaining)):
-        if not remaining:
-            break
+    while remaining:
         seed_node = remaining[0]
         kd0 = maximal_kd_truss(g, [seed_node], q.k, q.d)
         if kd0.valid:
@@ -293,8 +283,6 @@ def classify_query(g: Graph, idx: ATIndex | None, q: QuerySpec) -> QueryClassifi
         else:
             nodes = (seed_node,)
             attrs = tuple(sorted(set(q.query_attrs) & set(g.attrs[seed_node])))
-        if not nodes:
-            nodes = (seed_node,)
         suggestions.append((nodes, attrs))
         remaining = [v for v in remaining if v not in set(nodes)]
     return QueryClassification(BAD, reason, suggestions)

@@ -1,12 +1,12 @@
 """Edge supports, truss decomposition, and (k,d)-truss maintenance.
 
 A k-truss is a subgraph where every edge closes at least k-2 triangles.
-Peeling uses a lazy min-heap keyed by (support, edge) so ties break on the
-lowest edge id, keeping results deterministic.
+One edge-peeling loop serves both jobs: decomposition runs it once per
+level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), maintenance runs it
+between query-distance rounds.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -36,33 +36,48 @@ def compute_supports(h: Subgraph) -> dict[tuple[int, int], int]:
     return sup
 
 
-def truss_decompose(h: Subgraph):
-    """Peel minimum-support edges; returns (edge_trussness, vertex_trussness).
+def _peel_edges(h: Subgraph, sup: dict, thr: int, pending: deque,
+                events: Optional[list]) -> None:
+    """Delete the queued edges of h, each queued with support below thr;
+    each triangle partner of a deleted edge loses one support and is queued
+    when it drops below thr.  `sup` holds exactly h's edges, before and
+    after.  Deletions are appended to `events` as ("e", u, v) in order.
+    """
+    while pending:
+        e = pending.popleft()
+        if e not in sup:
+            continue  # queued twice, or its vertex was dropped
+        u, v = e
+        del sup[e]
+        common = h.adj[u] & h.adj[v]
+        h.remove_edge(u, v)
+        if events is not None:
+            events.append(("e", u, v))
+        for w in common:
+            for other in (edge_key(u, w), edge_key(v, w)):
+                sup[other] -= 1
+                if sup[other] < thr:
+                    pending.append(other)
 
-    tau(e) is the largest k such that some k-truss of h contains e.  Vertex
-    trussness is the max over incident edges; isolated vertices get 0.
+
+def truss_decompose(h: Subgraph):
+    """Peel level by level; returns (edge_trussness, vertex_trussness).
+
+    tau(e) is the largest k such that some k-truss of h contains e: the
+    edges the level-k peel (threshold k-2) deletes have trussness k-1.
+    Vertex trussness is the max over incident edges; isolated vertices get 0.
     """
     work = h.copy()
     sup = compute_supports(work)
-    heap = [(s, e) for e, s in sup.items()]
-    heapq.heapify(heap)
     edge_tau: dict[tuple[int, int], int] = {}
     k = 2
-    while heap:
-        s, e = heapq.heappop(heap)
-        if e not in sup or sup[e] != s:
-            continue  # stale heap entry
-        u, v = e
-        k = max(k, s + 2)
-        edge_tau[e] = k
-        del sup[e]
-        common = work.adj[u] & work.adj[v]
-        work.remove_edge(u, v)
-        for w in common:
-            for other in (edge_key(u, w), edge_key(v, w)):
-                if other in sup:
-                    sup[other] -= 1
-                    heapq.heappush(heap, (sup[other], other))
+    while sup:
+        k += 1
+        peeled: list = []
+        _peel_edges(work, sup, k - 2,
+                    deque(e for e, s in sup.items() if s < k - 2), peeled)
+        for _, u, v in peeled:
+            edge_tau[(u, v)] = k - 1
     vertex_tau = {v: 0 for v in h.vertices}
     for (u, v), t in edge_tau.items():
         if t > vertex_tau[u]:
@@ -82,9 +97,17 @@ class KdTruss:
     reason: Optional[str] = None
 
 
-def _record(events, ev):
-    if events is not None:
-        events.append(ev)
+def _query_verdict(h: Subgraph, qs: list[int], d: int):
+    """(query distances, None) when every query node is in h within
+    distance d of the others, else (None, why not)."""
+    if any(not h.has_vertex(q) for q in qs):
+        return None, QUERY_NODE_PRUNED
+    dist, _ = query_distance(h, qs)
+    if any(dist[q] > d for q in qs):
+        if any(dist[q] == UNREACHABLE for q in qs):
+            return None, QUERY_NODES_DISCONNECTED
+        return None, QUERY_NODE_PRUNED
+    return dist, None
 
 
 def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
@@ -101,64 +124,32 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
     exact order applied, so the run can be replayed.
     """
     qs = sorted(set(query_nodes))
-    for q in qs:
-        if not h.has_vertex(q):
-            return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
     sup = compute_supports(h)
     thr = k - 2
     pending = deque(sorted(e for e, s in sup.items() if s < thr))
-
-    def peel_edges():
-        while pending:
-            e = pending.popleft()
-            if e not in sup or sup[e] >= thr:
-                continue
-            u, v = e
-            del sup[e]
-            common = h.adj[u] & h.adj[v]
-            h.remove_edge(u, v)
-            _record(events, ("e", u, v))
-            for w in common:
-                for other in (edge_key(u, w), edge_key(v, w)):
-                    if other in sup:
-                        sup[other] -= 1
-                        if sup[other] < thr:
-                            pending.append(other)
-
-    def drop_vertex_full(v):
-        ns = sorted(h.adj[v])
-        for u in ns:
-            sup.pop(edge_key(u, v), None)
-        # each pair of still-adjacent former neighbors loses triangle v
-        for i, a in enumerate(ns):
-            adj_a = h.adj[a]
-            for b in ns[i + 1:]:
-                if b in adj_a:
-                    e = edge_key(a, b)
+    while True:
+        _peel_edges(h, sup, thr, pending, events)
+        dist, reason = _query_verdict(h, qs, d)
+        if reason is not None:
+            return KdTruss(None, k, d, False, reason)
+        far = sorted(v for v, dv in dist.items() if dv > d)
+        if not far:
+            return KdTruss(h, k, d, True)
+        for v in far:
+            ns = sorted(h.adj[v])
+            for u in ns:
+                del sup[edge_key(u, v)]
+            # each pair of still-adjacent former neighbours loses triangle v
+            for i, a in enumerate(ns):
+                for b in ns[i + 1:]:
+                    e = (a, b)
                     if e in sup:
                         sup[e] -= 1
                         if sup[e] < thr:
                             pending.append(e)
-        h.remove_vertex(v)
-        _record(events, ("v", v))
-
-    while True:
-        peel_edges()
-        for q in qs:
-            if not h.has_vertex(q):
-                return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-        dist, _ = query_distance(h, qs)
-        far = sorted(v for v, dv in dist.items() if dv > d)
-        if not far:
-            return KdTruss(h, k, d, True)
-        bad_q = [q for q in qs if dist[q] > d]
-        if bad_q:
-            # distinguish disconnection between query nodes from plain pruning
-            if any(dist[q] == UNREACHABLE for q in qs):
-                return KdTruss(None, k, d, False, QUERY_NODES_DISCONNECTED)
-            return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-        for v in far:
-            drop_vertex_full(v)
+            h.remove_vertex(v)
+            if events is not None:
+                events.append(("v", v))
 
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
@@ -166,14 +157,9 @@ def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
     """Maximal (k,d)-truss of the d-ball around the query nodes."""
     qs = sorted(set(query_nodes))
     base = Subgraph.full(g) if isinstance(g, Graph) else g
-    for q in qs:
-        if not base.has_vertex(q):
-            return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
-    dist, _ = query_distance(base, qs)
-    if any(dist[q] > d for q in qs):
-        if any(dist[q] == UNREACHABLE for q in qs):
-            return KdTruss(None, k, d, False, QUERY_NODES_DISCONNECTED)
-        return KdTruss(None, k, d, False, QUERY_NODE_PRUNED)
+    dist, reason = _query_verdict(base, qs, d)
+    if reason is not None:
+        return KdTruss(None, k, d, False, reason)
     h = induced_subgraph(base, [v for v, dv in dist.items() if dv <= d])
     return maintain_kd_truss(h, qs, k, d)
 

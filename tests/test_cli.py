@@ -171,6 +171,39 @@ class TestQueryFlags:
         assert "input error" in capsys.readouterr().err
 
 
+class TestEvalFiles:
+    """A malformed .truth or .queries line is an input error (exit 2) in one
+    line naming the file and line, raised before any query runs."""
+
+    def eval(self, synth, tmp_path, capsys, path, line):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        report = tmp_path / "rep.tsv"
+        code = run(["eval", "--graph", synth + ".edges", "--attrs", synth + ".attrs",
+                    "--truth", synth + ".truth", "--queries", synth + ".queries",
+                    "--algo", "bulk", "--report", str(report)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and not report.exists() and out == ""
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("line,message", [
+        # int() read "3_0" as vertex 30
+        ("3_0,35\ta0\t1", "not a vertex id: '3_0'"),
+        ("30,35", "expected 3 TAB-separated fields, got 1"),
+        ("30,35\ta0\t99", "no community '99' in the truth file (4 communities)"),
+        ("30,35\ta0\t-1", "no community '-1'")])
+    def test_bad_queries_line(self, synth, tmp_path, capsys, line, message):
+        path = synth + ".queries"
+        err = self.eval(synth, tmp_path, capsys, path, line)
+        assert f"{path}:7: {message}" in err  # after the 6 generated queries
+
+    def test_bad_truth_id(self, synth, tmp_path, capsys):
+        path = synth + ".truth"
+        err = self.eval(synth, tmp_path, capsys, path, "1_2\t3")
+        assert f"{path}:5: not a vertex id: '1_2'" in err  # after 4 communities
+
+
 class TestQueryOutput:
     def test_json_sorted_keys_and_fields(self, synth, capsys):
         assert run(["query", "--graph", synth + ".edges",

@@ -237,7 +237,7 @@ class TestEvaluateAndFiles:
         gt2 = read_truth(tp)
         assert [c.members for c in gt2.communities] == \
             [c.members for c in gt.communities]
-        assert read_queries(qp) == queries
+        assert read_queries(qp, gt2) == queries
 
     def test_evaluate_counts_infeasible(self):
         g, gt = gen_synth(n=80, communities=2, seed=13)

@@ -15,15 +15,14 @@ from atc.local import (
     GOOD,
     SteinerSeed,
     attribute_truss_distance,
-    auto_params,
     autocomplete_attrs,
     classify_query,
     expand_candidate,
     locatc_search,
     steiner_seed,
 )
-from atc.truss import edge_key, is_kd_truss, max_trussness_connecting, truss_decompose
-from atc.graph import Subgraph, project_on_attribute, query_distance
+from atc.truss import edge_key, truss_decompose
+from atc.graph import Subgraph, project_on_attribute
 
 from oracles import (
     oracle_expand,
@@ -288,32 +287,23 @@ class TestUnknownAttribute:
 
 
 class TestAutoParams:
+    """locatc_search with k_d_auto derives (k, d) from the restricted core."""
+
+    def auto(self, g, node):
+        q = QuerySpec(frozenset({g.internal(node)}), k_d_auto=True)
+        return locatc_search(g, build_index(g), q)
+
     def test_clique(self):
         g = Graph.from_edges(itertools.combinations(range(5), 2))
         g.attach_attributes({})
-        h = Subgraph.full(g)
-        assert auto_params(h, [0]) == (5, 1)
+        res = self.auto(g, 0)
+        assert (res.k, res.d) == (5, 1)
 
     def test_triangle_single_query(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
         g.attach_attributes({})
-        assert auto_params(Subgraph.full(g), [g.internal(0)]) == (3, 1)
-
-    @given(st.integers(0, 2**30))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_standalone_pieces(self, seed_int):
-        rng = random.Random(seed_int)
-        g = rand_graph(rng, rng.randint(3, 12), 0.45)
-        h = Subgraph.full(g)
-        pool = [v for v in range(g.n)]
-        a = rng.choice(pool)
-        from atc.graph import bfs_distances
-        reach = sorted(bfs_distances(h.adj, a))
-        qs = rng.sample(reach, min(len(reach), rng.randint(1, 2)))
-        k, d = auto_params(h, qs)
-        k_direct, _ = max_trussness_connecting(h, qs)
-        _, d_direct = query_distance(h, qs)
-        assert k == max(2, k_direct) and d == d_direct
+        res = self.auto(g, 0)
+        assert (res.k, res.d) == (3, 1)
 
 
 class TestLocATC:

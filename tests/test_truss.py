@@ -23,6 +23,7 @@ from oracles import (
     oracle_all_pairs,
     oracle_is_kd_truss,
     oracle_maintain,
+    oracle_maximal_reason,
     oracle_supports,
     oracle_truss,
     rand_graph,
@@ -80,7 +81,8 @@ class TestTrussDecompose:
     @settings(max_examples=40, deadline=None)
     def test_matches_pruning_oracle(self, seed):
         rng = random.Random(seed)
-        g = rand_graph(rng, rng.randint(3, 18), rng.uniform(0.1, 0.5))
+        # dense draws reach many trussness levels
+        g = rand_graph(rng, rng.randint(3, 18), rng.uniform(0.1, 0.9))
         et, _ = truss_decompose(Subgraph.full(g))
         assert et == oracle_truss(adj_of(g))
 
@@ -157,6 +159,14 @@ class TestMaintain:
             assert set(kd.subgraph.vertices) == set(oadj)
         else:
             assert kd.reason == oreason
+        # the d-ball cut changes the reason at most, never the truss
+        mk = maximal_kd_truss(g, qs, k, d)
+        assert mk.valid == ovalid
+        if mk.valid:
+            assert set(mk.subgraph.edges()) == mine
+            assert set(mk.subgraph.vertices) == set(oadj)
+        else:
+            assert mk.reason == oracle_maximal_reason(adj_of(g), qs, k, d)
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
