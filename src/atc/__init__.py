@@ -60,7 +60,6 @@ from .index import (
     save_index,
 )
 from .local import (
-    attribute_truss_distance,
     autocomplete_attrs,
     classify_query,
     expand_candidate,

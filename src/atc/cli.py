@@ -264,8 +264,8 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph, args.attrs)
-    gt = read_truth(args.truth)
-    queries = read_queries(args.queries, gt)
+    gt = read_truth(args.truth, g)
+    queries = read_queries(args.queries, gt, g)
     if args.algo == "local":
         idx = build_index(g)
 

@@ -148,9 +148,3 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
         return ranked[:bulk_batch_size(h.num_vertices(), q.epsilon)]
     return _peel(g, q, k, d, "bulk", pick)
 
-
-def iteration_bound(n: int, k: int, epsilon: Fraction) -> int:
-    """Upper bound on bulk iterations: ceil(log_{1+eps}(n/k))."""
-    if n <= k:
-        return 1
-    return math.ceil(math.log(n / k) / math.log(1 + float(epsilon)))

@@ -279,14 +279,23 @@ def write_truth(gt: GroundTruth, path: str) -> None:
             fh.write("\t".join(str(v) for v in sorted(c.members)) + "\n")
 
 
-def read_truth(path: str) -> GroundTruth:
+def _graph_vertex(g: Graph, token: str) -> int:
+    """The external id `token` names, which must be a vertex of g."""
+    v = parse_vertex_id(token)
+    if v not in g.ext_to_int:
+        raise ValueError(f"unknown vertex {v}")
+    return v
+
+
+def read_truth(path: str, g: Graph) -> GroundTruth:
+    """Communities whose members must all be vertices of g."""
     comms = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 try:
-                    members = frozenset(parse_vertex_id(t) for t in line.split("\t"))
+                    members = frozenset(_graph_vertex(g, t) for t in line.split("\t"))
                 except ValueError as exc:
                     raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
                 comms.append(Community(members))
@@ -301,8 +310,8 @@ def write_queries(queries: list[GenQuery], path: str) -> None:
                                        ",".join(q.attrs), q.community))
 
 
-def read_queries(path: str, gt: GroundTruth) -> list[GenQuery]:
-    """Queries whose community index must name one of gt's communities."""
+def read_queries(path: str, gt: GroundTruth, g: Graph) -> list[GenQuery]:
+    """Queries on g's vertices and labels, each naming one of gt's communities."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -313,15 +322,18 @@ def read_queries(path: str, gt: GroundTruth) -> list[GenQuery]:
             try:
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 TAB-separated fields, got {len(fields)}")
-                nodes = tuple(parse_vertex_id(t) for t in fields[0].split(","))
+                nodes = tuple(_graph_vertex(g, t) for t in fields[0].split(","))
+                attrs = tuple(t for t in fields[1].split(",") if t)
+                for label in attrs:
+                    if label not in g.label_to_id:
+                        raise ValueError(f"unknown attribute label {label!r}")
                 comm = fields[2]
                 if not (comm.isascii() and comm.isdigit()) or int(comm) >= len(gt):
                     raise ValueError(f"no community {comm!r} in the truth file "
                                      f"({len(gt)} communities)")
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
-            out.append(GenQuery(nodes, tuple(t for t in fields[1].split(",") if t),
-                                int(comm)))
+            out.append(GenQuery(nodes, attrs, int(comm)))
     return out
 
 

@@ -1,10 +1,11 @@
 """Index-accelerated local search: Steiner seeding, majority-guided
-expansion, auto parameter setting, and bad-query handling.
+expansion, and bad-query handling.
 
 The Steiner seed connects the query nodes under the attribute truss distance
 (edges in high-trussness regions of the relevant projections are cheaper),
 the seed is expanded by repeatedly inserting the most promising frontier
-vertex until the size cap, and bulk peeling then shrinks the candidate.
+vertex until the size cap, cut to its densest truss around the query nodes
+(peeled from the index's trussness), and shrunk by bulk peeling.
 """
 from __future__ import annotations
 
@@ -40,12 +41,6 @@ def _shortfall(idx: ATIndex, e: tuple[int, int], query_attrs) -> int:
             tau = TAU_FLOOR
         shortfall += idx.tau_max - tau
     return shortfall
-
-
-def attribute_truss_distance(idx: ATIndex, e: tuple[int, int],
-                             query_attrs, gamma: Fraction) -> Fraction:
-    """1 + gamma * total trussness shortfall of e across G and the projections."""
-    return 1 + gamma * _shortfall(idx, e, sorted(query_attrs))
 
 
 def _dijkstra(g: Graph, source: int, weight, targets) -> tuple[dict, dict]:
@@ -222,21 +217,14 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
         q = dataclasses.replace(q, query_attrs=autocomplete_attrs(g, q.query_nodes))
     seed = steiner_seed(g, idx, q)
     gt = expand_candidate(g, idx, seed, q)
-    k_max, core = max_trussness_connecting(gt, q.query_nodes)
-    if k_max >= 2:
-        gt = core
+    k_max, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
     if q.k_d_auto:
         k = max(2, k_max)
         _, d = query_distance(gt, q.query_nodes)
     else:
         k, d = q.k, q.d
-    try:
-        res, _ = bulk_search(gt, q, k=k, d=d)
-    except NoFeasibleCommunity:
-        if q.k_d_auto and k > 3:
-            res, _ = bulk_search(gt, q, k=k - 1, d=d)
-        else:
-            raise
+    # under k_d_auto the core is a (k, d)-truss, so only explicit (k, d) can fail
+    res, _ = bulk_search(gt, q, k=k, d=d)
     return dataclasses.replace(res, algo="local",
                                wall_time=time.perf_counter() - t0)
 

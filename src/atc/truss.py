@@ -1,9 +1,9 @@
 """Edge supports, truss decomposition, and (k,d)-truss maintenance.
 
 A k-truss is a subgraph where every edge closes at least k-2 triangles.
-One edge-peeling loop serves both jobs: decomposition runs it once per
-level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), maintenance runs it
-between query-distance rounds.
+One edge-peeling loop serves three jobs: decomposition, for the index, runs
+it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), the densest
+connecting truss once per level it tries, maintenance between rounds.
 """
 from __future__ import annotations
 
@@ -164,38 +164,43 @@ def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
     return maintain_kd_truss(h, qs, k, d)
 
 
-def max_trussness_connecting(g: Graph | Subgraph, query_nodes: Iterable[int]):
-    """Largest k with one connected k-truss containing all query nodes.
+def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
+                             edge_tau: dict[tuple[int, int], int]):
+    """Largest k with one connected k-truss of h containing all query nodes.
+
+    `edge_tau` bounds each edge's trussness in h from above, as trussness in
+    a graph containing h does: a k-truss of h is one there too (Huang et al.,
+    SIGMOD 2014).  So each level k, from the query nodes' bound down, peels
+    only the first query node's component of the edges bounded by >= k.
 
     Returns (k_max, subgraph).  For a single isolated query node, k_max is
     the vertex trussness 0 and the subgraph is the vertex alone.
     """
     qs = sorted(set(query_nodes))
-    h = Subgraph.full(g) if isinstance(g, Graph) else g
     for q in qs:
         if not h.has_vertex(q):
             raise ValueError(f"query node {q} not in graph")
-    reach = bfs_distances(h.adj, qs[0])
-    if any(q not in reach for q in qs):
-        raise ValueError("query nodes are disconnected")
-    edge_tau, vertex_tau = truss_decompose(h)
-    if len(qs) == 1 and vertex_tau[qs[0]] == 0:
+    top = min(max((edge_tau[edge_key(q, v)] for v in h.adj[q]), default=0)
+              for q in qs)
+    if top == 0 and len(qs) == 1:
         return 0, induced_subgraph(h, qs)
-    tau_max = max(edge_tau.values(), default=2)
-    for k in range(tau_max, 1, -1):
+    for k in range(top, 1, -1):
         adj: dict[int, set[int]] = {}
-        for (u, v), t in edge_tau.items():
-            if t >= k:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
+        reach = [qs[0]]  # grows while walked: qs[0]'s component of edges >= k
+        for u in reach:
+            if u not in adj:
+                adj[u] = {v for v in h.adj[u] if edge_tau[edge_key(u, v)] >= k}
+                reach.extend(adj[u] - adj.keys())
         if any(q not in adj for q in qs):
-            continue
-        comp = bfs_distances(adj, qs[0])
-        if all(q in comp for q in qs):
-            sub_adj = {v: ns for v, ns in adj.items() if v in comp}
-            m = sum(len(s) for s in sub_adj.values()) // 2
-            return k, Subgraph(h.parent, sub_adj, m)
-    raise ValueError("no k-truss connects the query nodes")
+            continue  # peeling only removes edges
+        comp = Subgraph(h.parent, adj, sum(len(s) for s in adj.values()) // 2)
+        sup = compute_supports(comp)
+        _peel_edges(comp, sup, k - 2,
+                    deque(e for e, s in sup.items() if s < k - 2), None)
+        core = bfs_distances(comp.adj, qs[0])
+        if comp.adj[qs[0]] and all(q in core for q in qs):
+            return k, induced_subgraph(comp, core)
+    raise ValueError("query nodes are disconnected")
 
 
 def diameter(h: Subgraph):

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive (full recomputation, exhaustive
 enumeration) and shares no code with the package under test beyond the
-Graph container.
+Graph container and the index's lookups.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from atc.graph import Graph, UNREACHABLE
+from atc.index import NOT_IN_PROJECTION
 
 
 def adj_of(h) -> dict[int, set[int]]:
@@ -63,6 +64,38 @@ def oracle_truss(adj: dict[int, set[int]]) -> dict[tuple[int, int], int]:
         for e in alive:
             tau[e] = k
         k += 1
+
+
+def oracle_max_trussness_connecting(h, query_nodes):
+    """(k, adjacency) of the densest connected truss of h holding every query
+    node, from scratch: decompose h, then scan the levels down from the top.
+
+    A lone isolated query node gives (0, {q: set()}).  ValueError for a
+    query node outside h and for query nodes in different components.
+    """
+    adj = adj_of(h)
+    qs = sorted(set(query_nodes))
+    for q in qs:
+        if q not in adj:
+            raise ValueError(f"query node {q} not in graph")
+    if any(oracle_all_pairs(adj)[(qs[0], q)] == UNREACHABLE for q in qs):
+        raise ValueError("query nodes are disconnected")
+    if len(qs) == 1 and not adj[qs[0]]:
+        return 0, {qs[0]: set()}
+    tau = oracle_truss(adj)
+    for k in range(max(tau.values()), 1, -1):
+        level: dict[int, set[int]] = {}
+        for (u, v), t in tau.items():
+            if t >= k:
+                level.setdefault(u, set()).add(v)
+                level.setdefault(v, set()).add(u)
+        if any(q not in level for q in qs):
+            continue
+        ap = oracle_all_pairs(level)
+        if all(ap[(qs[0], q)] != UNREACHABLE for q in qs):
+            return k, {v: level[v] for v in level
+                       if ap[(qs[0], v)] != UNREACHABLE}
+    raise ValueError("no k-truss connects the query nodes")
 
 
 def oracle_all_pairs(adj: dict[int, set[int]]):
@@ -425,3 +458,21 @@ def oracle_steiner_seed(g: Graph, idx, q):
     edges = tuple(sorted({(min(u, v), max(u, v)) for u in tree for v in tree[u]}))
     total = sum((weight(u, v) for u, v in edges), Fraction(0))
     return frozenset(tree) | frozenset(terminals), edges, total
+
+
+def attribute_truss_distance(idx, e, query_attrs, gamma) -> Fraction:
+    """The Steiner seed's edge weight through the index's lookups: 1 + gamma
+    * total trussness shortfall of e across G and the projections."""
+    u, v = e
+    shortfall = idx.tau_max - idx.structural_edge(u, v)
+    for w in sorted(query_attrs):
+        tau = idx.attribute_edge(w, u, v)
+        shortfall += idx.tau_max - (2 if tau == NOT_IN_PROJECTION else tau)
+    return 1 + gamma * shortfall
+
+
+def iteration_bound(n: int, k: int, epsilon: Fraction) -> int:
+    """Upper bound on bulk iterations: ceil(log_{1+eps}(n/k))."""
+    if n <= k:
+        return 1
+    return math.ceil(math.log(n / k) / math.log(1 + float(epsilon)))

@@ -24,7 +24,6 @@ from atc.greedy import (
     NoFeasibleCommunity,
     basic_search,
     bulk_search,
-    iteration_bound,
 )
 from atc.harness import (
     brute_force_atc,
@@ -38,10 +37,11 @@ from atc.index import build_index, load_index, save_index
 from atc.local import locatc_search, steiner_seed
 from atc.score import is_majority, score_contribution, score_of_vertices
 from atc.truss import edge_key, truss_decompose
-from atc.local import attribute_truss_distance
 
 from oracles import (
     adj_of,
+    attribute_truss_distance,
+    iteration_bound,
     oracle_all_pairs,
     oracle_is_kd_truss,
     oracle_steiner_opt,

@@ -203,6 +203,21 @@ class TestEvalFiles:
         err = self.eval(synth, tmp_path, capsys, path, "1_2\t3")
         assert f"{path}:5: not a vertex id: '1_2'" in err  # after 4 communities
 
+    # well-formed ids and labels that the graph does not have used to fail
+    # only when their query ran, after the earlier queries, naming no line
+    @pytest.mark.parametrize("line,message", [
+        ("30,99999\ta0\t1", "unknown vertex 99999"),
+        ("30,35\tzz9\t1", "unknown attribute label 'zz9'")])
+    def test_query_token_not_in_graph(self, synth, tmp_path, capsys, line, message):
+        path = synth + ".queries"
+        err = self.eval(synth, tmp_path, capsys, path, line)
+        assert f"{path}:7: {message}" in err
+
+    def test_truth_member_not_in_graph(self, synth, tmp_path, capsys):
+        path = synth + ".truth"
+        err = self.eval(synth, tmp_path, capsys, path, "3\t99999")
+        assert f"{path}:5: unknown vertex 99999" in err
+
 
 class TestQueryOutput:
     def test_json_sorted_keys_and_fields(self, synth, capsys):

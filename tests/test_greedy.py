@@ -11,13 +11,13 @@ from atc.greedy import (
     basic_search,
     bulk_batch_size,
     bulk_search,
-    iteration_bound,
     replay_candidate,
 )
 from atc.score import score_of_vertices
 from atc.truss import is_kd_truss, maintain_kd_truss
 
-from oracles import adj_of, oracle_is_kd_truss, oracle_peel, rand_graph, result_adj
+from oracles import (adj_of, iteration_bound, oracle_is_kd_truss, oracle_peel,
+                     rand_graph, result_adj)
 
 
 def two_cliques(a=5, b=4, bridge=True):

@@ -234,10 +234,10 @@ class TestEvaluateAndFiles:
         g2 = load_edge_list(ep)
         load_attributes(ap_, g2)
         assert g2.n == g.n and g2.m == g.m
-        gt2 = read_truth(tp)
+        gt2 = read_truth(tp, g2)
         assert [c.members for c in gt2.communities] == \
             [c.members for c in gt.communities]
-        assert read_queries(qp, gt2) == queries
+        assert read_queries(qp, gt2, g2) == queries
 
     def test_evaluate_counts_infeasible(self):
         g, gt = gen_synth(n=80, communities=2, seed=13)

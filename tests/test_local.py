@@ -14,7 +14,6 @@ from atc.local import (
     BAD,
     GOOD,
     SteinerSeed,
-    attribute_truss_distance,
     autocomplete_attrs,
     classify_query,
     expand_candidate,
@@ -25,6 +24,7 @@ from atc.truss import edge_key, truss_decompose
 from atc.graph import Subgraph, project_on_attribute
 
 from oracles import (
+    attribute_truss_distance,
     oracle_expand,
     oracle_is_kd_truss,
     oracle_steiner_opt,

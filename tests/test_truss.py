@@ -23,6 +23,7 @@ from oracles import (
     oracle_all_pairs,
     oracle_is_kd_truss,
     oracle_maintain,
+    oracle_max_trussness_connecting,
     oracle_maximal_reason,
     oracle_supports,
     oracle_truss,
@@ -228,21 +229,25 @@ class TestMaximalKdTruss:
 class TestMaxTrussnessConnecting:
     def test_clique(self):
         g = clique(5)
-        k, sub = max_trussness_connecting(g, [0, 3])
+        k, sub = max_trussness_connecting(Subgraph.full(g), [0, 3],
+                                          truss_decompose(Subgraph.full(g))[0])
         assert k == 5 and set(sub.vertices) == set(range(5))
 
     def test_single_node_vertex_trussness(self):
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(3, 4)])
-        k, _ = max_trussness_connecting(g, [g.internal(0)])
+        k, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(0)],
+                                        truss_decompose(Subgraph.full(g))[0])
         assert k == 4
-        k2, _ = max_trussness_connecting(g, [g.internal(4)])
+        k2, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(4)],
+                                         truss_decompose(Subgraph.full(g))[0])
         assert k2 == 2
 
     def test_disconnected_error(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            max_trussness_connecting(g, [g.internal(0), g.internal(2)])
+            max_trussness_connecting(Subgraph.full(g), [g.internal(0), g.internal(2)],
+                                     truss_decompose(Subgraph.full(g))[0])
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
@@ -257,9 +262,11 @@ class TestMaxTrussnessConnecting:
         a, b = rng.sample(pool, 2)
         if ap[(a, b)] == UNREACHABLE:
             with pytest.raises(ValueError):
-                max_trussness_connecting(g, [a, b])
+                max_trussness_connecting(Subgraph.full(g), [a, b],
+                                         truss_decompose(Subgraph.full(g))[0])
             return
-        k, sub = max_trussness_connecting(g, [a, b])
+        k, sub = max_trussness_connecting(Subgraph.full(g), [a, b],
+                                          truss_decompose(Subgraph.full(g))[0])
         tau = oracle_truss(adj_of(g))
         best = 2
         for kk in range(max(tau.values()), 1, -1):
@@ -276,6 +283,41 @@ class TestMaxTrussnessConnecting:
         assert k == best
         # returned subgraph is a connected k-truss containing both
         assert oracle_is_kd_truss(adj_of(sub), [a, b], k, 10**6)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=100, deadline=None)
+    def test_any_trussness_bound_matches_oracle(self, seed):
+        """Over an induced subgraph H of G, any table bounding G's trussness
+        from above gives what decomposing H from scratch gives."""
+        rng = random.Random(seed)
+        g = rand_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        full = adj_of(g)
+        bound = {e: t + rng.choice((0, 0, 0, 1, 2, 5))
+                 for e, t in oracle_truss(full).items()}
+        members = {rng.randrange(g.n)}
+        size = rng.randint(1, g.n)
+        if rng.random() < 0.75:  # connected: grown from one vertex
+            grow = sorted(members)
+            while grow and len(members) < size:
+                v = grow.pop(rng.randrange(len(grow)))
+                for u in sorted(full[v] - members)[:size - len(members)]:
+                    members.add(u)
+                    grow.append(u)
+        else:
+            members.update(rng.sample(range(g.n), size - 1))
+        h = induced_subgraph(g, members)
+        qs = rng.sample(sorted(members), min(len(members), rng.randint(1, 3)))
+        try:
+            k, adj = oracle_max_trussness_connecting(h, qs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                max_trussness_connecting(h, qs, bound)
+            return
+        got_k, sub = max_trussness_connecting(h, qs, bound)
+        assert got_k == k
+        assert set(sub.vertices) == set(adj)
+        assert sub.adj == adj
+        assert sub.m == sum(len(ns) for ns in adj.values()) // 2
 
 
 class TestDiameter:
