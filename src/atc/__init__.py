@@ -33,13 +33,7 @@ from .truss import (
     maximal_kd_truss,
     truss_decompose,
 )
-from .score import (
-    ScoreBreakdown,
-    attribute_score,
-    is_majority,
-    local_marginal_gain,
-    score_contribution,
-)
+from .score import ScoreBreakdown
 from .greedy import (
     CandidateTrace,
     NoFeasibleCommunity,
@@ -69,7 +63,6 @@ from .local import (
 from .harness import (
     EvalReport,
     GroundTruth,
-    brute_force_atc,
     evaluate,
     f1,
     gen_queries,

@@ -224,7 +224,7 @@ def cmd_query(args) -> int:
         q, query_nodes=frozenset(g.internal(v) for v in q.query_nodes),
         query_attrs=frozenset(g.attr_id(t) for t in labels))
     if args.suggest_on_bad:
-        cls = classify_query(g, None, q)
+        cls = classify_query(g, q)
         if cls.status == BAD:
             print(_result_json(g, None, "bad_query", cls.suggestions))
             return EXIT_EMPTY if args.fail_on_empty else EXIT_OK

@@ -21,7 +21,8 @@ from .score import (
     removal_set,
     score_of_vertices,
 )
-from .truss import diameter, maintain_kd_truss, maximal_kd_truss, replay_events
+from .truss import (KdTruss, diameter, maintain_kd_truss, maximal_kd_truss,
+                    replay_events)
 
 
 class NoFeasibleCommunity(Exception):
@@ -84,14 +85,14 @@ def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
     )
 
 
-def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> Subgraph:
+def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> KdTruss:
     parent = g if isinstance(g, Graph) else g.parent
     for w in q.query_attrs:
         parent.vertices_with(w)  # raises UnknownAttributeError
     kd = maximal_kd_truss(g, q.query_nodes, k, d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)
-    return kd.subgraph
+    return kd
 
 
 def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
@@ -104,7 +105,8 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
     t0 = time.perf_counter()
     k = q.k if k is None else k
     d = q.d if d is None else d
-    h = _initial_truss(g, q, k, d)
+    kd = _initial_truss(g, q, k, d)
+    h, sup = kd.subgraph, kd.sup
     parent = h.parent
     bd = score_of_vertices(parent, h.vertices, q.query_attrs)
     trace = CandidateTrace(h.copy(), [bd.score], [], 0)
@@ -113,11 +115,10 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
         cands = [v for v in h.vertices if v not in q.query_nodes]
         if not cands:
             break
-        ev = [("v", v) for v in pick(h, cands, bd, k)]
+        ev = []
         iterations += 1
-        for _, v in ev:
-            h.remove_vertex(v)
-        if not maintain_kd_truss(h, q.query_nodes, k, d, events=ev).valid:
+        if not maintain_kd_truss(h, q.query_nodes, k, d, events=ev, sup=sup,
+                                 drop=pick(h, cands, bd, k)).valid:
             break
         bd = score_of_vertices(parent, h.vertices, q.query_attrs)
         trace.steps.append(ev)
@@ -143,8 +144,19 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
                 d: int | None = None):
     """Each iteration removes the batch of smallest-marginal-gain vertices."""
     def pick(h, cands, bd, k):
-        ranked = sorted(cands, key=lambda v: (
-            gain_from_breakdown(h.parent, removal_set(h, v, k), bd), v))
+        floor = {u for u, ns in h.adj.items() if len(ns) == k - 1}
+        attrs = h.parent.attrs
+        alone = {}  # attributes -> gain of a vertex whose P_H(v) is {v}
+
+        def gain(v):
+            batch = removal_set(h, v, k, floor)
+            if len(batch) > 1:
+                return gain_from_breakdown(h.parent, batch, bd)
+            if attrs[v] not in alone:
+                alone[attrs[v]] = gain_from_breakdown(h.parent, batch, bd)
+            return alone[attrs[v]]
+
+        ranked = sorted(cands, key=lambda v: (gain(v), v))
         return ranked[:bulk_batch_size(h.num_vertices(), q.epsilon)]
     return _peel(g, q, k, d, "bulk", pick)
 

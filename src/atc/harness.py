@@ -1,6 +1,5 @@
 """Synthetic benchmark harness: planted communities, query generation,
-precision/recall/F1 scoring, a structure-only baseline, and a brute-force
-optimum for small instances.
+precision/recall/F1 scoring, and a structure-only baseline.
 
 The generator plants disjoint cliques over an Erdos-Renyi background and
 assigns each community a few dedicated attributes at partial coverage, plus
@@ -16,11 +15,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (Graph, GraphFormatError, QuerySpec, induced_subgraph,
-                    parse_vertex_id, query_distance)
-from .greedy import NoFeasibleCommunity, SearchResult, bulk_search
-from .score import score_of_vertices
-from .truss import diameter, is_kd_truss
+from .graph import Graph, GraphFormatError, QuerySpec, parse_vertex_id
+from .greedy import NoFeasibleCommunity, bulk_search
 
 ZERO = Fraction(0)
 
@@ -176,41 +172,6 @@ def structure_baseline(g, q: QuerySpec):
     qq = dataclasses.replace(q, query_attrs=frozenset())
     res, trace = bulk_search(g, qq)
     return dataclasses.replace(res, algo="baseline"), trace
-
-
-def brute_force_atc(g: Graph, q: QuerySpec) -> SearchResult | None:
-    """Exhaustive optimum over all vertex supersets of V_q (oracle; n <= 14).
-
-    A candidate counts when its induced subgraph is itself a connected
-    k-truss containing V_q within query distance d.  Score ties go to the
-    smaller vertex set, then lexicographically smallest.
-    """
-    if g.n > 14:
-        raise ValueError("brute force capped at 14 vertices")
-    qs = sorted(q.query_nodes)
-    rest = [v for v in range(g.n) if v not in q.query_nodes]
-    best = None  # (-score, size, sorted tuple)
-    best_sub = None
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            vs = tuple(sorted(qs + list(extra)))
-            h = induced_subgraph(g, vs)
-            if not is_kd_truss(h, qs, q.k, q.d):
-                continue
-            score = score_of_vertices(g, vs, q.query_attrs).score
-            key = (-score, len(vs), vs)
-            if best is None or key < best:
-                best = key
-                best_sub = h
-    if best is None:
-        return None
-    _, qd = query_distance(best_sub, qs)
-    return SearchResult(
-        vertices=frozenset(best_sub.vertices),
-        edges=tuple(best_sub.sorted_edges()),
-        score=-best[0],
-        k=q.k, d=q.d, query_dist=qd, diameter=diameter(best_sub),
-        algo="brute", iterations=0, wall_time=0.0)
 
 
 @dataclass

@@ -240,7 +240,7 @@ class QueryClassification:
     suggestions: list  # [(query node tuple, attribute id tuple), ...]
 
 
-def classify_query(g: Graph, idx: ATIndex | None, q: QuerySpec) -> QueryClassification:
+def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
     """Bad when no (k,d)-truss contains V_q or none of W_q appears in it.
 
     For bad queries, partitions the query nodes into per-community suggested

@@ -1,8 +1,9 @@
 """Attribute score f(H, W_q) and the quantities driving greedy peeling.
 
 f(H, W_q) = sum over query attributes w of c_w^2 / |V(H)| where c_w counts
-the members of H carrying w.  All arithmetic is exact (Fraction) so argmax
-comparisons between candidates never suffer float ties.
+the members of H carrying w.  Scores are exact: the peeling loops compare
+integers and a Fraction is built only for the scores a result reports, so
+no comparison suffers float ties.
 """
 from __future__ import annotations
 
@@ -48,69 +49,43 @@ def score_of_vertices(g: Graph, vertices: Iterable[int],
     return ScoreBreakdown(size, cover)
 
 
-def attribute_score(h: Subgraph, query_attrs: Iterable[int]) -> ScoreBreakdown:
-    return score_of_vertices(h.parent, h.vertices, query_attrs)
-
-
-def score_contribution(h: Subgraph, v: int, query_attrs,
-                       breakdown: ScoreBreakdown | None = None) -> int:
-    """Sum over v's query attributes of (2*c_w - 1).
-
-    Satisfies f(H-{v}) * (|V(H)|-1) = f(H) * |V(H)| - contribution exactly.
-    """
-    if not h.has_vertex(v):
-        raise KeyError(v)
-    if breakdown is None:
-        breakdown = attribute_score(h, query_attrs)
-    return contribution_from_breakdown(h.parent, v, breakdown)
-
-
 def contribution_from_breakdown(g: Graph, v: int, breakdown: ScoreBreakdown) -> int:
     ws = breakdown.cover
     return sum(2 * ws[w] - 1 for w in g.attrs[v] if w in ws)
 
 
-def removal_set(h: Subgraph, v: int, k: int) -> list[int]:
-    """P_H(v): v plus its neighbors sitting at the k-truss degree floor."""
-    return [v] + [u for u in h.adj[v] if len(h.adj[u]) == k - 1]
+def removal_set(h: Subgraph, v: int, k: int,
+                floor: set[int] | None = None) -> list[int]:
+    """P_H(v): v plus its neighbors sitting at the k-truss degree floor k-1.
+
+    `floor`, when given, is the set of h's vertices of degree k-1, which a
+    caller taking P_H(v) for many v of one h computes once.
+    """
+    if floor is None:
+        floor = {u for u in h.adj[v] if len(h.adj[u]) == k - 1}
+    return [v, *(h.adj[v] & floor)]
 
 
-def gain_from_breakdown(g: Graph, batch: Iterable[int],
-                        breakdown: ScoreBreakdown) -> Fraction:
-    """f(H) - f(H - batch), computed without materializing H - batch."""
-    cover = dict(breakdown.cover)
-    size = breakdown.size
+def gain_from_breakdown(g: Graph, batch: list[int],
+                        breakdown: ScoreBreakdown) -> int:
+    """The gain f(H) - f(H - batch) times |V(H)|^2, rounded up, computed
+    without materializing H - batch; an emptied H scores 0.
+
+    Exact for ranking: each f(H - batch) is a ratio over at most |V(H)|
+    vertices, so two gains that differ, differ by at least 1/|V(H)|^2.
+    """
+    cover = breakdown.cover
+    n = breakdown.size
+    squares = sum(c * c for c in cover.values())
+    left = squares  # sum_w c_w^2 over H - batch
+    lost: dict[int, int] = {}
     for u in batch:
-        size -= 1
         for w in g.attrs[u]:
             if w in cover:
-                cover[w] -= 1
-    after = ZERO if size == 0 else Fraction(sum(c * c for c in cover.values()), size)
-    return breakdown.score - after
-
-
-def local_marginal_gain(h: Subgraph, v: int, query_attrs, k: int,
-                        breakdown: ScoreBreakdown | None = None) -> Fraction:
-    """Approximate marginal gain of deleting v: f(H) - f(H - P_H(v))."""
-    if not h.has_vertex(v):
-        raise KeyError(v)
-    if breakdown is None:
-        breakdown = attribute_score(h, query_attrs)
-    batch = removal_set(h, v, k)
-    if len(batch) >= h.num_vertices():
-        raise ValueError("removal would empty the graph")
-    return gain_from_breakdown(h.parent, batch, breakdown)
-
-
-def is_majority(h: Subgraph, attr_set: Iterable[int], query_attrs,
-                breakdown: ScoreBreakdown | None = None) -> bool:
-    """Whether attr_set covers the majority attributes of h.
-
-    True iff sum over w in W_q ∩ attr_set of theta(H, w) >= f(H, W_q) / (2|V(H)|).
-    """
-    if breakdown is None:
-        breakdown = attribute_score(h, query_attrs)
-    return majority_from_breakdown(set(attr_set), breakdown)
+                r = lost.get(w, 0)
+                left -= 2 * (cover[w] - r) - 1  # (c - r)^2 - (c - r - 1)^2
+                lost[w] = r + 1
+    return squares * n - left * n * n // max(n - len(batch), 1)
 
 
 def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown) -> bool:

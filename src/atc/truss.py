@@ -95,6 +95,7 @@ class KdTruss:
     d: int
     valid: bool
     reason: Optional[str] = None
+    sup: Optional[dict] = None  # the subgraph's edge supports, when valid
 
 
 def _query_verdict(h: Subgraph, qs: list[int], d: int):
@@ -110,23 +111,58 @@ def _query_verdict(h: Subgraph, qs: list[int], d: int):
     return dist, None
 
 
+def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int, pending: list,
+                 events: Optional[list]) -> None:
+    """Delete v from h and its edges from `sup`; each pair of still-adjacent
+    former neighbours loses triangle v and is queued when it drops below thr.
+    """
+    ns = sorted(h.adj[v])
+    for u in ns:
+        del sup[edge_key(u, v)]
+    for i, a in enumerate(ns):
+        for b in ns[i + 1:]:
+            e = (a, b)
+            if e in sup:
+                sup[e] -= 1
+                if sup[e] < thr:
+                    pending.append(e)
+    h.remove_vertex(v)
+    if events is not None:
+        events.append(("v", v))
+
+
 def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
-                      events: Optional[list] = None) -> KdTruss:
+                      events: Optional[list] = None, sup: Optional[dict] = None,
+                      drop: Iterable[int] = ()) -> KdTruss:
     """Prune h in place to its maximal sub-(k,d)-truss around the query
     nodes; a caller that needs h afterwards passes h.copy().
 
-    Alternates edge-support peeling (threshold k-2) and query-distance rounds
-    (threshold d, distances recomputed inside the surviving subgraph) until a
-    fixpoint.  Invalid when a query node gets pruned or the query nodes end
-    up in different components; the two cases are reported distinctly.
+    First deletes the vertices in `drop`.  Then alternates edge-support
+    peeling (threshold k-2) and query-distance rounds (threshold d,
+    distances recomputed inside the surviving subgraph) until a fixpoint.
+    Invalid when a query node gets pruned or the query nodes end up in
+    different components; the two cases are reported distinctly.
+
+    `sup`, when given, must hold h's edge supports with none below k-2, as
+    a valid result's `sup` does; it is kept equal to the supports of h and
+    returned in the result, so a caller pruning h again need not count them.
+    Without it the supports are counted here.
 
     Deletion events ("e", u, v) / ("v", v) are appended to `events` in the
     exact order applied, so the run can be replayed.
     """
     qs = sorted(set(query_nodes))
-    sup = compute_supports(h)
     thr = k - 2
-    pending = deque(sorted(e for e, s in sup.items() if s < thr))
+    if sup is None:
+        sup = compute_supports(h)
+        weak = [e for e, s in sup.items() if s < thr]
+    else:
+        weak = []
+    for v in drop:
+        _drop_vertex(h, sup, v, thr, weak, events)
+    # every edge below thr is in `weak`, so this is the order of a recount;
+    # a repeat, or an edge a later drop deleted, is skipped by the peel
+    pending = deque(sorted(weak))
     while True:
         _peel_edges(h, sup, thr, pending, events)
         dist, reason = _query_verdict(h, qs, d)
@@ -134,22 +170,9 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
             return KdTruss(None, k, d, False, reason)
         far = sorted(v for v, dv in dist.items() if dv > d)
         if not far:
-            return KdTruss(h, k, d, True)
+            return KdTruss(h, k, d, True, sup=sup)
         for v in far:
-            ns = sorted(h.adj[v])
-            for u in ns:
-                del sup[edge_key(u, v)]
-            # each pair of still-adjacent former neighbours loses triangle v
-            for i, a in enumerate(ns):
-                for b in ns[i + 1:]:
-                    e = (a, b)
-                    if e in sup:
-                        sup[e] -= 1
-                        if sup[e] < thr:
-                            pending.append(e)
-            h.remove_vertex(v)
-            if events is not None:
-                events.append(("v", v))
+            _drop_vertex(h, sup, v, thr, pending, events)
 
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to check the library.
 
-Everything here is deliberately naive (full recomputation, exhaustive
-enumeration) and shares no code with the package under test beyond the
-Graph container and the index's lookups.
+The oracles are deliberately naive (full recomputation, exhaustive
+enumeration) and share no code with the package under test beyond the
+Graph container and the index's lookups.  The score helpers after
+`oracle_score` and `brute_force_atc` are the exception: test-only entry
+points over the package's own score breakdowns, kept here because no
+library code calls them.
 """
 from __future__ import annotations
 
@@ -11,8 +14,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from atc.graph import Graph, UNREACHABLE
+from atc.graph import Graph, Subgraph, UNREACHABLE, induced_subgraph, query_distance
+from atc.greedy import SearchResult
 from atc.index import NOT_IN_PROJECTION
+from atc.score import (
+    ScoreBreakdown,
+    contribution_from_breakdown,
+    majority_from_breakdown,
+    removal_set,
+    score_of_vertices,
+)
+from atc.truss import diameter, is_kd_truss
 
 
 def adj_of(h) -> dict[int, set[int]]:
@@ -196,6 +208,74 @@ def oracle_score(g: Graph, vertices, query_attrs) -> Fraction:
         c = sum(1 for v in vs if w in g.attrs[v])
         total += c * c
     return Fraction(total, len(vs))
+
+
+def attribute_score(h: Subgraph, query_attrs) -> ScoreBreakdown:
+    return score_of_vertices(h.parent, h.vertices, query_attrs)
+
+
+def score_contribution(h: Subgraph, v: int, query_attrs) -> int:
+    """Sum over v's query attributes of (2*c_w - 1).
+
+    Satisfies f(H-{v}) * (|V(H)|-1) = f(H) * |V(H)| - contribution exactly.
+    """
+    if not h.has_vertex(v):
+        raise KeyError(v)
+    return contribution_from_breakdown(h.parent, v, attribute_score(h, query_attrs))
+
+
+def local_marginal_gain(h: Subgraph, v: int, query_attrs, k: int) -> Fraction:
+    """Approximate marginal gain of deleting v: f(H) - f(H - P_H(v))."""
+    if not h.has_vertex(v):
+        raise KeyError(v)
+    batch = removal_set(h, v, k)
+    if len(batch) >= h.num_vertices():
+        raise ValueError("removal would empty the graph")
+    return (attribute_score(h, query_attrs).score
+            - oracle_score(h.parent, set(h.vertices).difference(batch), query_attrs))
+
+
+def is_majority(h: Subgraph, attr_set, query_attrs) -> bool:
+    """Whether attr_set covers the majority attributes of h.
+
+    True iff sum over w in W_q ∩ attr_set of theta(H, w) >= f(H, W_q) / (2|V(H)|).
+    """
+    return majority_from_breakdown(set(attr_set), attribute_score(h, query_attrs))
+
+
+def brute_force_atc(g: Graph, q) -> SearchResult | None:
+    """Exhaustive optimum over all vertex supersets of V_q (n <= 14).
+
+    A candidate counts when its induced subgraph is itself a connected
+    k-truss containing V_q within query distance d.  Score ties go to the
+    smaller vertex set, then lexicographically smallest.
+    """
+    if g.n > 14:
+        raise ValueError("brute force capped at 14 vertices")
+    qs = sorted(q.query_nodes)
+    rest = [v for v in range(g.n) if v not in q.query_nodes]
+    best = None  # (-score, size, sorted tuple)
+    best_sub = None
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            vs = tuple(sorted(qs + list(extra)))
+            h = induced_subgraph(g, vs)
+            if not is_kd_truss(h, qs, q.k, q.d):
+                continue
+            score = score_of_vertices(g, vs, q.query_attrs).score
+            key = (-score, len(vs), vs)
+            if best is None or key < best:
+                best = key
+                best_sub = h
+    if best is None:
+        return None
+    _, qd = query_distance(best_sub, qs)
+    return SearchResult(
+        vertices=frozenset(best_sub.vertices),
+        edges=tuple(best_sub.sorted_edges()),
+        score=-best[0],
+        k=q.k, d=q.d, query_dist=qd, diameter=diameter(best_sub),
+        algo="brute", iterations=0, wall_time=0.0)
 
 
 def oracle_peel(g: Graph, q, bulk: bool):

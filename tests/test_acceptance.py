@@ -26,7 +26,6 @@ from atc.greedy import (
     bulk_search,
 )
 from atc.harness import (
-    brute_force_atc,
     evaluate,
     gen_queries,
     gen_synth,
@@ -35,12 +34,14 @@ from atc.harness import (
 )
 from atc.index import build_index, load_index, save_index
 from atc.local import locatc_search, steiner_seed
-from atc.score import is_majority, score_contribution, score_of_vertices
+from atc.score import score_of_vertices
 from atc.truss import edge_key, truss_decompose
 
 from oracles import (
     adj_of,
     attribute_truss_distance,
+    brute_force_atc,
+    is_majority,
     iteration_bound,
     oracle_all_pairs,
     oracle_is_kd_truss,
@@ -48,6 +49,7 @@ from oracles import (
     oracle_truss,
     rand_graph,
     result_adj,
+    score_contribution,
 )
 
 

@@ -222,3 +222,41 @@ def test_peel_matches_separate_loops_oracle(seed, k, bulk):
         return
     res, trace = search(g, q)
     assert (res.vertices, res.edges, res.score, res.iterations, trace.scores) == expect
+
+
+@given(st.integers(0, 2**30), st.integers(2, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_peel_matches_oracle_on_larger_graphs(seed, k, bulk):
+    """On graphs of 14-40 vertices, where rounds drop many vertices and the
+    support map is kept across them, basic and bulk still do what the
+    from-scratch loops do."""
+    rng = random.Random(seed)
+    g = rand_graph(rng, rng.randint(14, 40), rng.uniform(0.2, 0.6), n_attrs=3)
+    q = QuerySpec(query_nodes=frozenset(rng.sample(range(g.n), rng.randint(1, 2))),
+                  query_attrs=frozenset(w for w in range(len(g.attr_labels))
+                                        if rng.random() < 0.6),
+                  k=k, d=rng.randint(1, 4),
+                  epsilon=rng.choice([Fraction(3, 100), Fraction(1, 4), Fraction(1)]))
+    expect = oracle_peel(g, q, bulk)
+    search = bulk_search if bulk else basic_search
+    if expect is None:
+        with pytest.raises(NoFeasibleCommunity):
+            search(g, q)
+        return
+    res, trace = search(g, q)
+    assert (res.vertices, res.edges, res.score, res.iterations, trace.scores) == expect
+
+
+def test_bulk_ranks_emptying_removal_last():
+    """A star around v=1 with the query node 0 as a leaf, k=2: v's removal
+    set P_H(v) is all of H, so f(H - P_H(v)) = 0 and its gain is the
+    largest; bulk deletes the leaves 2 and 3 first and v last."""
+    g = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
+    g.attach_attributes({0: ["x"], 1: [], 2: ["x"], 3: ["x"]})
+    q = spec(g, [0], ["x"], k=2, d=2)
+    res, trace = bulk_search(g, q)
+    assert trace.steps == [[("v", 2)], [("v", 3)], [("v", 1)]]
+    assert trace.scores == [Fraction(9, 4), Fraction(4, 3), Fraction(1, 2), Fraction(1)]
+    assert res.iterations == 3 and res.vertices == frozenset(range(4))
+    assert (res.vertices, res.edges, res.score, res.iterations,
+            trace.scores) == oracle_peel(g, q, bulk=True)

@@ -6,7 +6,6 @@ import pytest
 
 from atc.graph import Graph, QuerySpec
 from atc.harness import (
-    brute_force_atc,
     evaluate,
     f1,
     gen_queries,
@@ -23,7 +22,7 @@ from atc.harness import (
 )
 from atc.greedy import bulk_search
 
-from oracles import brute_force_atc_alt, rand_graph
+from oracles import brute_force_atc, brute_force_atc_alt, rand_graph
 
 
 class TestGenSynth:

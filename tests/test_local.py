@@ -366,7 +366,7 @@ class TestAutocomplete:
 class TestClassifyQuery:
     def test_good_query(self):
         g = two_attr_cliques()
-        cls = classify_query(g, None, spec(g, [0], ["x"], k=3, d=2))
+        cls = classify_query(g, spec(g, [0], ["x"], k=3, d=2))
         assert cls.status == GOOD and cls.suggestions == []
 
     def test_disconnected_bad(self):
@@ -374,7 +374,7 @@ class TestClassifyQuery:
             + list(itertools.combinations(range(4, 8), 2))
         g = Graph.from_edges(edges)
         g.attach_attributes({v: ["x"] for v in range(8)})
-        cls = classify_query(g, None, spec(g, [0, 4], ["x"], k=3, d=3))
+        cls = classify_query(g, spec(g, [0, 4], ["x"], k=3, d=3))
         assert cls.status == BAD
         assert cls.reason == "query_nodes_disconnected"
         # partition loop splits the query into the two components
@@ -385,7 +385,7 @@ class TestClassifyQuery:
 
     def test_zero_score_bad(self):
         g = two_attr_cliques()
-        cls = classify_query(g, None, spec(g, [0], ["y"], k=3, d=0))
+        cls = classify_query(g, spec(g, [0], ["y"], k=3, d=0))
         assert cls.status == BAD and cls.reason == "zero_score"
 
     def test_two_community_suggestions(self):
@@ -394,7 +394,7 @@ class TestClassifyQuery:
         g = Graph.from_edges(edges)
         g.attach_attributes(
             {v: (["x"] if v < 5 else ["y"]) for v in range(10)})
-        cls = classify_query(g, None, spec(g, [0, 7], ["x", "y"], k=3, d=2))
+        cls = classify_query(g, spec(g, [0, 7], ["x", "y"], k=3, d=2))
         assert cls.status == BAD
         assert len(cls.suggestions) == 2
         attr_sets = [set(a) for _, a in cls.suggestions]

@@ -7,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, Subgraph, induced_subgraph
 from atc.score import (
-    attribute_score,
     ScoreBreakdown,
-    is_majority,
-    local_marginal_gain,
     majority_from_breakdown,
     removal_set,
-    score_contribution,
     score_of_vertices,
 )
 
-from oracles import oracle_majority, oracle_score, rand_graph
+from oracles import (
+    attribute_score,
+    is_majority,
+    local_marginal_gain,
+    oracle_majority,
+    oracle_score,
+    rand_graph,
+    score_contribution,
+)
 
 
 def attributed(n, table, edges=None):

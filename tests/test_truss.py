@@ -170,6 +170,33 @@ class TestMaintain:
             assert mk.reason == oracle_maximal_reason(adj_of(g), qs, k, d)
 
     @given(st.integers(0, 2**30))
+    @settings(max_examples=80, deadline=None)
+    def test_kept_supports_match_recount(self, seed):
+        """Round after round of dropping vertices through maintain_kd_truss
+        with the caller's support map, the map equals a recount and the
+        truss equals a from-scratch maintenance of the same graph."""
+        rng = random.Random(seed)
+        g = rand_graph(rng, rng.randint(4, 30), rng.uniform(0.2, 0.7))
+        qs = rng.sample(range(g.n), rng.randint(1, 2))
+        k, d = rng.randint(2, 5), rng.randint(1, 4)
+        kd = maximal_kd_truss(g, qs, k, d)
+        while kd.valid:
+            h = kd.subgraph
+            assert kd.sup == compute_supports(h)
+            rest = sorted(set(h.vertices) - set(qs))
+            if not rest:
+                break
+            drop = rng.sample(rest, rng.randint(1, min(3, len(rest))))
+            fresh = h.copy()
+            for v in drop:
+                fresh.remove_vertex(v)
+            expect = maintain_kd_truss(fresh, qs, k, d)
+            kd = maintain_kd_truss(h, qs, k, d, sup=kd.sup, drop=drop)
+            assert (kd.valid, kd.reason) == (expect.valid, expect.reason)
+            if kd.valid:
+                assert h.adj == fresh.adj and h.m == fresh.m
+
+    @given(st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
     def test_events_replay_to_result(self, seed):
         rng = random.Random(seed)
