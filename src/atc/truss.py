@@ -18,6 +18,7 @@ from .graph import (
     bfs_distances,
     induced_subgraph,
     query_distance,
+    source_distances,
 )
 
 QUERY_NODE_PRUNED = "query_node_pruned"
@@ -227,19 +228,12 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
 
 
 def diameter(h: Subgraph):
-    """Exact hop diameter via all-sources BFS; UNREACHABLE if disconnected."""
-    n = h.num_vertices()
-    if n <= 1:
+    """Exact hop diameter: the largest distance of any vertex to all the
+    others, from one sweep with every vertex a source; UNREACHABLE if h is
+    disconnected."""
+    if h.num_vertices() <= 1:
         return 0
-    best = 0
-    for v in h.vertices:
-        dist = bfs_distances(h.adj, v)
-        if len(dist) < n:
-            return UNREACHABLE
-        ecc = max(dist.values())
-        if ecc > best:
-            best = ecc
-    return best
+    return max(source_distances(h.adj, h.vertices).values())
 
 
 def replay_events(base: Subgraph, events: Iterable) -> Subgraph:
@@ -256,7 +250,7 @@ def replay_events(base: Subgraph, events: Iterable) -> Subgraph:
 def is_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int) -> bool:
     """From-scratch check of all four (k,d)-truss conditions."""
     qs = sorted(set(query_nodes))
-    if any(not h.has_vertex(q) for q in qs):
+    if not h.num_vertices() or any(not h.has_vertex(q) for q in qs):
         return False
     sup = compute_supports(h)
     if any(s < k - 2 for s in sup.values()):

@@ -124,9 +124,12 @@ def test_criterion_03_truss_oracle_equivalence():
 def _verify_result(g, res, qs, wq, k, d):
     adj = result_adj(res)
     assert oracle_is_kd_truss(adj, qs, k, d)
-    # diameter upper bound for a connected k-truss within query distance d
+    # reported diameter and query distance equal the Floyd-Warshall ones
     ap = oracle_all_pairs(adj)
     diam = max(ap.values())
+    assert res.diameter == diam
+    assert res.query_dist == max(max(ap[(v, q)] for q in qs) for v in adj)
+    # diameter upper bound for a connected k-truss within query distance d
     n = len(adj)
     assert diam <= min(Fraction(2 * n - 2, k), 2 * d)
     # reported score equals recomputation
@@ -134,8 +137,8 @@ def _verify_result(g, res, qs, wq, k, d):
 
 
 def test_criterion_04_kd_truss_feasibility():
-    """500 emitted communities all re-verify the four invariants and the
-    diameter upper bound."""
+    """500 emitted communities all re-verify the four invariants, their
+    reported diameter and query distance, and the diameter upper bound."""
     rng = random.Random(404)
     emitted = 0
     runs = 0

@@ -18,7 +18,7 @@ from atc.graph import (
     query_distance,
 )
 
-from oracles import adj_of, oracle_all_pairs, rand_graph
+from oracles import adj_of, oracle_query_distance, rand_graph
 
 
 def write(tmp_path, name, text):
@@ -185,16 +185,24 @@ class TestQueryDistance:
         assert val == UNREACHABLE
 
     @given(st.integers(0, 2**30))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_matches_floyd_warshall(self, seed):
+        """1-16 query nodes, repeats allowed, on graphs of up to 40 vertices;
+        half are induced views, which may have isolated vertices and several
+        components."""
         rng = random.Random(seed)
-        g = rand_graph(rng, rng.randint(2, 20), 0.2)
+        n = rng.randint(2, 40)
+        g = rand_graph(rng, n, rng.uniform(2, 8) / n)
         h = Subgraph.full(g)
-        qs = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
-        dist, _ = query_distance(h, qs)
-        ap = oracle_all_pairs(adj_of(g))
-        for v in range(g.n):
-            assert dist[v] == max(ap[(v, q)] for q in qs)
+        if rng.random() < 0.5:
+            h = induced_subgraph(g, rng.sample(range(n), rng.randint(1, n)))
+        vs = list(h.vertices)
+        qs = [rng.choice(vs) for _ in range(rng.randint(1, 16))]
+        dist, val = query_distance(h, qs)
+        expect = oracle_query_distance(adj_of(h), qs)
+        assert list(dist) == vs  # the view's key order
+        assert dist == expect
+        assert val == max(expect.values())
 
 
 class TestProjection:

@@ -217,6 +217,13 @@ class TestMaintain:
             if kd.valid:
                 assert is_kd_truss(kd.subgraph, [0], 3, 3)
 
+    def test_empty_subgraph_is_not_kd_truss(self):
+        # agrees with oracle_is_kd_truss: an empty graph is not connected
+        g = Graph.from_edges([(0, 1)])
+        empty = induced_subgraph(g, [])
+        assert not is_kd_truss(empty, [], 2, 0)
+        assert not oracle_is_kd_truss({}, [], 2, 0)
+
 
 class TestMaximalKdTruss:
     def test_k2_large_d_gives_component(self):
@@ -362,7 +369,14 @@ class TestDiameter:
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
     def test_matches_all_pairs(self, seed):
-        g = rand_graph(random.Random(seed), 15, 0.3)
-        ap = oracle_all_pairs(adj_of(g))
-        expect = max(ap.values()) if g.n > 1 else 0
-        assert diameter(Subgraph.full(g)) == expect
+        """Graphs of 65-90 vertices, so one bit per vertex spans more than
+        one machine word; half are induced views, which may be disconnected
+        or have isolated vertices."""
+        rng = random.Random(seed)
+        n = rng.randint(65, 90)
+        g = rand_graph(rng, n, rng.uniform(3, 10) / n)
+        h = Subgraph.full(g)
+        if rng.random() < 0.5:
+            h = induced_subgraph(g, rng.sample(range(n), rng.randint(2, n)))
+        ap = oracle_all_pairs(adj_of(h))
+        assert diameter(h) == max(ap.values())
