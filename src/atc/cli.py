@@ -41,6 +41,7 @@ from .index import (
     FORMAT_VERSION,
     IndexFileError,
     build_index,
+    edge_rows,
     load_index,
     save_index,
 )
@@ -150,16 +151,7 @@ def cmd_index(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = load_edge_list(args.graph)
-    edge_tau, _ = truss_decompose(Subgraph.full(g))
-    ext = g.ext_ids
-    rows = []
-    for (u, v), t in edge_tau.items():
-        a, b = ext[u], ext[v]
-        if a > b:
-            a, b = b, a
-        rows.append((a, b, t))
-    rows.sort()
-    lines = [f"{a}\t{b}\t{t}" for a, b, t in rows]
+    lines = edge_rows(truss_decompose(Subgraph.full(g)), g.ext_ids)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -95,7 +95,8 @@ def plant_attributes(g: Graph, gt: GroundTruth, coverage: int = 80,
         count = rng.randint(lo, hi) if hi > 0 else 0
         if count:
             table[ext].update(rng.sample(pool, min(count, pool_size)))
-    g.attach_attributes(table)
+    # sorted: a set's order, and so the label ids, would follow the str hash salt
+    g.attach_attributes({ext: sorted(labels) for ext, labels in table.items()})
     return g
 
 

@@ -1,7 +1,8 @@
 """Attribute-truss index: structural and per-attribute-projection trussness.
 
-The index holds what local search reads: the edge/vertex trussness of the
-full graph and the edge trussness inside each attribute-projected graph.
+The index holds what local search reads: the edge trussness of the full
+graph and inside each attribute-projected graph.  Vertex trussness and
+tau_max follow from the first table and are derived, not stored.
 The disk format is versioned sectioned text with per-section CRC32 lines,
 keyed by external vertex ids and attribute labels so a rebuilt graph reads
 it back.  A header line records n, m and a digest of the graph, so an index
@@ -10,13 +11,13 @@ is never read against a graph it was not built from.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph, UnknownAttributeError, project_on_attribute
 from .truss import truss_decompose, Subgraph
 
 FORMAT_MAGIC = "ATIDX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # lookup result for objects absent from a projection (never a valid trussness)
 NOT_IN_PROJECTION = -1
@@ -46,10 +47,26 @@ class GraphMismatchError(IndexFileError):
 
 @dataclass
 class ATIndex:
+    """Edge trussness of G (n vertices) and of each projection G_w.
+
+    A vertex's trussness is the largest of its edges' (0 when isolated) and
+    tau_max the largest edge trussness (2 when G has no edges).
+    """
+    n: int
     edge_truss: dict[tuple[int, int], int]
-    vertex_truss: dict[int, int]
     attr_edge_truss: dict[int, dict[tuple[int, int], int]]
-    tau_max: int
+    vertex_truss: list[int] = field(init=False, compare=False)
+    tau_max: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        vt = [0] * self.n
+        for (u, v), t in self.edge_truss.items():
+            if t > vt[u]:
+                vt[u] = t
+            if t > vt[v]:
+                vt[v] = t
+        self.vertex_truss = vt
+        self.tau_max = max(self.edge_truss.values(), default=2)
 
     def structural_edge(self, u: int, v: int) -> int:
         return self.edge_truss[(u, v) if u < v else (v, u)]
@@ -65,17 +82,17 @@ class ATIndex:
         return table.get((u, v) if u < v else (v, u), NOT_IN_PROJECTION)
 
     def entry_count(self) -> int:
-        """Stored trussness entries: m + n + sum_w |E(G_w)|."""
+        """Held trussness entries: m + n + sum_w |E(G_w)|."""
         return (len(self.edge_truss) + len(self.vertex_truss)
                 + sum(len(t) for t in self.attr_edge_truss.values()))
 
 
 def build_index(g: Graph) -> ATIndex:
     """Decompose G and every attribute projection."""
-    edge_tau, vertex_tau = truss_decompose(Subgraph.full(g))
-    attr_edge = {w: truss_decompose(project_on_attribute(g, w))[0]
+    edge_tau = truss_decompose(Subgraph.full(g))
+    attr_edge = {w: truss_decompose(project_on_attribute(g, w))
                  for w in range(len(g.attr_labels))}
-    return ATIndex(edge_tau, vertex_tau, attr_edge, max(edge_tau.values(), default=2))
+    return ATIndex(g.n, edge_tau, attr_edge)
 
 
 def _mix(x: int) -> int:
@@ -120,24 +137,21 @@ def _section_lines(name_line: str, rows: list[str]) -> list[str]:
     return body + [f"CRC\t{crc:08x}"]
 
 
+def edge_rows(table: dict[tuple[int, int], int], ext: list[int]) -> list[str]:
+    """One `a<TAB>b<TAB>trussness` row per edge, in external ids with a < b,
+    sorted."""
+    out = sorted((ext[u], ext[v], t) if ext[u] < ext[v] else (ext[v], ext[u], t)
+                 for (u, v), t in table.items())
+    return [f"{a}\t{b}\t{t}" for a, b, t in out]
+
+
 def save_index(idx: ATIndex, g: Graph, path: str) -> None:
     ext = g.ext_ids
-    lines = [f"{FORMAT_MAGIC}\t{FORMAT_VERSION}", _graph_line(g),
-             f"TAUMAX\t{idx.tau_max}"]
-
-    rows = [f"{v}\t{t}" for v, t in
-            sorted((ext[v], t) for v, t in idx.vertex_truss.items())]
-    lines += _section_lines("SECTION\tSTRUCT_V", rows)
-
-    def edge_rows(table):
-        out = sorted((ext[u], ext[v], t) if ext[u] < ext[v] else (ext[v], ext[u], t)
-                     for (u, v), t in table.items())
-        return [f"{a}\t{b}\t{t}" for a, b, t in out]
-
-    lines += _section_lines("SECTION\tSTRUCT_E", edge_rows(idx.edge_truss))
+    lines = [f"{FORMAT_MAGIC}\t{FORMAT_VERSION}", _graph_line(g)]
+    lines += _section_lines("SECTION\tSTRUCT_E", edge_rows(idx.edge_truss, ext))
     for w in sorted(idx.attr_edge_truss, key=lambda w: g.attr_labels[w]):
         lines += _section_lines(f"SECTION\tATTR\t{g.attr_labels[w]}",
-                                edge_rows(idx.attr_edge_truss[w]))
+                                edge_rows(idx.attr_edge_truss[w], ext))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -158,14 +172,11 @@ def load_index(path: str, g: Graph) -> ATIndex:
         raise CorruptIndexError("missing GRAPH")
     if lines[1] != _graph_line(g):
         raise GraphMismatchError("index was built from a different graph")
-    if len(lines) < 3 or not lines[2].startswith("TAUMAX\t"):
-        raise CorruptIndexError("missing TAUMAX")
-    tau_max = int(lines[2].split("\t")[1])
 
     # split into CRC-delimited sections
     sections = []
     cur: list[str] = []
-    for line in lines[3:]:
+    for line in lines[2:]:
         if line.startswith("CRC\t"):
             if not cur or not cur[0].startswith("SECTION\t"):
                 raise CorruptIndexError("checksum line outside a section")
@@ -181,7 +192,6 @@ def load_index(path: str, g: Graph) -> ATIndex:
         raise CorruptIndexError("truncated section (missing CRC)")
 
     edge_truss: dict = {}
-    vertex_truss: dict = {}
     attr_edge: dict = {}
 
     to_int = g.ext_to_int
@@ -196,11 +206,7 @@ def load_index(path: str, g: Graph) -> ATIndex:
         for sec in sections:
             kind = sec[0].split("\t")
             rows = sec[1:]
-            if kind[1] == "STRUCT_V":
-                for r in rows:
-                    v, t = r.split("\t")
-                    vertex_truss[to_int[int(v)]] = int(t)
-            elif kind[1] == "STRUCT_E":
+            if kind[1] == "STRUCT_E":
                 read_edges(rows, edge_truss)
             elif kind[1] == "ATTR":
                 read_edges(rows, attr_edge.setdefault(g.attr_id(kind[2]), {}))
@@ -208,7 +214,6 @@ def load_index(path: str, g: Graph) -> ATIndex:
                 raise CorruptIndexError(f"unknown section {kind[1]}")
     except (ValueError, IndexError, KeyError) as exc:
         raise CorruptIndexError(f"malformed row: {exc!r}") from None
-    if (len(vertex_truss), len(edge_truss), len(attr_edge)) != (
-            g.n, g.m, len(g.attr_labels)):
+    if (len(edge_truss), len(attr_edge)) != (g.m, len(g.attr_labels)):
         raise CorruptIndexError("index is missing sections or rows")
-    return ATIndex(edge_truss, vertex_truss, attr_edge, tau_max)
+    return ATIndex(g.n, edge_truss, attr_edge)

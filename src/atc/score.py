@@ -54,15 +54,12 @@ def contribution_from_breakdown(g: Graph, v: int, breakdown: ScoreBreakdown) -> 
     return sum(2 * ws[w] - 1 for w in g.attrs[v] if w in ws)
 
 
-def removal_set(h: Subgraph, v: int, k: int,
-                floor: set[int] | None = None) -> list[int]:
+def removal_set(h: Subgraph, v: int, k: int, floor: set[int]) -> list[int]:
     """P_H(v): v plus its neighbors sitting at the k-truss degree floor k-1.
 
-    `floor`, when given, is the set of h's vertices of degree k-1, which a
-    caller taking P_H(v) for many v of one h computes once.
+    `floor` is the set of h's vertices of degree k-1, which a caller taking
+    P_H(v) for many v of one h computes once.
     """
-    if floor is None:
-        floor = {u for u in h.adj[v] if len(h.adj[u]) == k - 1}
     return [v, *(h.adj[v] & floor)]
 
 

@@ -61,12 +61,11 @@ def _peel_edges(h: Subgraph, sup: dict, thr: int, pending: deque,
                     pending.append(other)
 
 
-def truss_decompose(h: Subgraph):
-    """Peel level by level; returns (edge_trussness, vertex_trussness).
+def truss_decompose(h: Subgraph) -> dict[tuple[int, int], int]:
+    """Peel level by level; returns the trussness of every edge of h.
 
     tau(e) is the largest k such that some k-truss of h contains e: the
     edges the level-k peel (threshold k-2) deletes have trussness k-1.
-    Vertex trussness is the max over incident edges; isolated vertices get 0.
     """
     work = h.copy()
     sup = compute_supports(work)
@@ -79,13 +78,7 @@ def truss_decompose(h: Subgraph):
                     deque(e for e, s in sup.items() if s < k - 2), peeled)
         for _, u, v in peeled:
             edge_tau[(u, v)] = k - 1
-    vertex_tau = {v: 0 for v in h.vertices}
-    for (u, v), t in edge_tau.items():
-        if t > vertex_tau[u]:
-            vertex_tau[u] = t
-        if t > vertex_tau[v]:
-            vertex_tau[v] = t
-    return edge_tau, vertex_tau
+    return edge_tau
 
 
 @dataclass

@@ -21,7 +21,6 @@ from atc.score import (
     ScoreBreakdown,
     contribution_from_breakdown,
     majority_from_breakdown,
-    removal_set,
     score_of_vertices,
 )
 from atc.truss import diameter, is_kd_truss
@@ -228,7 +227,7 @@ def local_marginal_gain(h: Subgraph, v: int, query_attrs, k: int) -> Fraction:
     """Approximate marginal gain of deleting v: f(H) - f(H - P_H(v))."""
     if not h.has_vertex(v):
         raise KeyError(v)
-    batch = removal_set(h, v, k)
+    batch = [v, *(u for u in h.adj[v] if len(h.adj[u]) == k - 1)]
     if len(batch) >= h.num_vertices():
         raise ValueError("removal would empty the graph")
     return (attribute_score(h, query_attrs).score

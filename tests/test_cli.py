@@ -46,6 +46,30 @@ SECTION\tINV\ty
 CRC\teccbb923
 """
 
+# the same 4-cycle's index as format version 2 wrote it
+V2_INDEX = """ATIDX\t2
+GRAPH\t4\t4\t99217c5775c9c207
+TAUMAX\t2
+SECTION\tSTRUCT_V
+0\t2
+1\t2
+2\t2
+3\t2
+CRC\t59b0da9e
+SECTION\tSTRUCT_E
+0\t1\t2
+0\t3\t2
+1\t2\t2
+2\t3\t2
+CRC\t8b5541f7
+SECTION\tATTR\tx
+0\t1\t2
+1\t2\t2
+CRC\tc313df2e
+SECTION\tATTR\ty
+CRC\tb539ab17
+"""
+
 
 @pytest.fixture
 def synth(tmp_path):
@@ -327,17 +351,20 @@ class TestIndexFile:
     def test_version(self, capsys):
         assert run(["--version"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "atc" in out and "index format 2" in out
+        assert "atc" in out and "index format 3" in out
 
-    def test_v1_index_rejected(self, cycle, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_index_rejected(self, cycle, capsys, version):
         d, _ = cycle
-        v1 = d / "v1.atidx"
-        v1.write_text(V1_INDEX)
+        old = d / f"v{version}.atidx"
+        old.write_text({1: V1_INDEX, 2: V2_INDEX}[version])
         g = load_attributes(str(d / "g.attrs"), load_edge_list(str(d / "g.edges")))
         with pytest.raises(VersionMismatchError):
-            load_index(str(v1), g)
-        assert self.query(d, str(v1)) == EXIT_INPUT
-        assert "version 1" in capsys.readouterr().err
+            load_index(str(old), g)
+        capsys.readouterr()
+        assert self.query(d, str(old)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"version {version}" in err
 
     def test_wrong_graph_index_rejected(self, cycle, capsys):
         d, idx = cycle

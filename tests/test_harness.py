@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,18 @@ class TestPlantAttributes:
             assert 1 <= cnt <= 8
             if v not in member:
                 assert cnt <= 5
+
+    def test_attribute_ids_independent_of_hash_seed(self):
+        """Attribute ids do not follow the str hash salt."""
+        script = ("from atc.harness import gen_synth, plant_attributes\n"
+                  "g, gt = gen_synth(n=300, communities=12, p_background=0.02, seed=0)\n"
+                  "plant_attributes(g, gt, rng_seed=0)\n"
+                  "print(','.join(g.attr_labels))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        outs = {subprocess.run([sys.executable, "-c", script],
+                               env=dict(env, PYTHONHASHSEED=h), check=True,
+                               capture_output=True, text=True).stdout for h in ("0", "7")}
+        assert len(outs) == 1
 
     def test_deterministic_bytes(self, tmp_path):
         outs = []

@@ -39,6 +39,16 @@ class TestBuild:
         assert idx.structural_vertex(g.internal(0)) == 4
         assert idx.tau_max == 4
 
+    def test_edgeless_graph_round_trip(self, tmp_path):
+        # derived on load: tau_max 2 with no edges, isolated vertices 0
+        g = Graph.from_edges([], extra_vertices=[0, 1])
+        g.attach_attributes({0: ["w"]})
+        path = str(tmp_path / "e.atidx")
+        save_index(build_index(g), g, path)
+        idx = load_index(path, g)
+        assert idx.tau_max == 2
+        assert [idx.structural_vertex(v) for v in range(2)] == [0, 0]
+
     def test_triangle_free_projection_all_two(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
         g.attach_attributes({0: ["w"], 1: ["w"], 3: ["w"], 2: []})
@@ -65,7 +75,7 @@ class TestBuild:
         g = rand_graph(rng, rng.randint(3, 15), 0.35, n_attrs=3)
         idx = build_index(g)
         for w in range(len(g.attr_labels)):
-            et, _ = truss_decompose(project_on_attribute(g, w))
+            et = truss_decompose(project_on_attribute(g, w))
             assert idx.attr_edge_truss[w] == et
             # projection dominance
             for e, t in et.items():
@@ -146,8 +156,8 @@ class TestSerialization:
         # tamper with one data row but keep the CRC line
         for i, line in enumerate(lines):
             parts = line.split("\t")
-            if len(parts) >= 2 and parts[0] not in ("ATIDX", "GRAPH", "TAUMAX",
-                                                    "SECTION", "CRC"):
+            if len(parts) >= 2 and parts[0] not in ("ATIDX", "GRAPH", "SECTION",
+                                                    "CRC"):
                 parts[-1] = str(int(parts[-1]) + 1)
                 lines[i] = "\t".join(parts)
                 break

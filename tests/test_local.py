@@ -76,9 +76,9 @@ class TestAttributeTrussDistance:
         gamma = Fraction(rng.randint(0, 4), 5)
         n_labels = len(g.attr_labels)
         wq = set(rng.sample(range(n_labels), rng.randint(0, n_labels)))
-        proj_tau = {w: truss_decompose(project_on_attribute(g, w))[0]
+        proj_tau = {w: truss_decompose(project_on_attribute(g, w))
                     for w in wq}
-        struct_tau, _ = truss_decompose(Subgraph.full(g))
+        struct_tau = truss_decompose(Subgraph.full(g))
         tau_max = max(struct_tau.values())
         edges = list(g.edge_iter())
         e = edges[rng.randrange(len(edges))]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, Subgraph, UNREACHABLE, induced_subgraph
+from atc.index import build_index
 from atc.truss import (
     QUERY_NODE_PRUNED,
     QUERY_NODES_DISCONNECTED,
@@ -57,26 +58,26 @@ class TestSupports:
 class TestTrussDecompose:
     def test_clique(self):
         for n in (3, 4, 5, 6):
-            et, vt = truss_decompose(Subgraph.full(clique(n)))
+            g = clique(n)
+            et = truss_decompose(Subgraph.full(g))
             assert set(et.values()) == {n}
-            assert set(vt.values()) == {n}
+            assert {build_index(g).structural_vertex(v) for v in range(n)} == {n}
 
     def test_nested_truss_example(self):
         # K4 {q1,v1,v2,v3} plus v4 adjacent to v1,v2: tau(q1,v1) = 4, while
         # the triangle q1-v1-v2 taken alone is only a 3-truss.
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(4, 1), (4, 2)])
-        et, vt = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(Subgraph.full(g))
         assert et[tuple(sorted((g.internal(0), g.internal(1))))] == 4
-        assert vt[g.internal(0)] == 4
+        assert build_index(g).structural_vertex(g.internal(0)) == 4
         tri = induced_subgraph(g, [g.internal(0), g.internal(1), g.internal(2)])
-        tri_et, _ = truss_decompose(tri)
+        tri_et = truss_decompose(tri)
         assert set(tri_et.values()) == {3}
 
     def test_isolated_vertex_trussness_zero(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], extra_vertices=[9])
-        _, vt = truss_decompose(Subgraph.full(g))
-        assert vt[g.internal(9)] == 0
+        assert build_index(g).structural_vertex(g.internal(9)) == 0
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
@@ -84,14 +85,14 @@ class TestTrussDecompose:
         rng = random.Random(seed)
         # dense draws reach many trussness levels
         g = rand_graph(rng, rng.randint(3, 18), rng.uniform(0.1, 0.9))
-        et, _ = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(Subgraph.full(g))
         assert et == oracle_truss(adj_of(g))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
     def test_hierarchy(self, seed):
         g = rand_graph(random.Random(seed), 14, 0.35)
-        et, _ = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(Subgraph.full(g))
         if not et:
             return
         adj = adj_of(g)
@@ -107,7 +108,7 @@ class TestTrussDecompose:
     @settings(max_examples=20, deadline=None)
     def test_min_degree_in_k_truss(self, seed):
         g = rand_graph(random.Random(seed), 14, 0.35)
-        et, _ = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(Subgraph.full(g))
         for k in set(et.values()):
             deg = {}
             for (u, v), t in et.items():
@@ -264,24 +265,24 @@ class TestMaxTrussnessConnecting:
     def test_clique(self):
         g = clique(5)
         k, sub = max_trussness_connecting(Subgraph.full(g), [0, 3],
-                                          truss_decompose(Subgraph.full(g))[0])
+                                          truss_decompose(Subgraph.full(g)))
         assert k == 5 and set(sub.vertices) == set(range(5))
 
     def test_single_node_vertex_trussness(self):
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(3, 4)])
         k, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(0)],
-                                        truss_decompose(Subgraph.full(g))[0])
+                                        truss_decompose(Subgraph.full(g)))
         assert k == 4
         k2, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(4)],
-                                         truss_decompose(Subgraph.full(g))[0])
+                                         truss_decompose(Subgraph.full(g)))
         assert k2 == 2
 
     def test_disconnected_error(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             max_trussness_connecting(Subgraph.full(g), [g.internal(0), g.internal(2)],
-                                     truss_decompose(Subgraph.full(g))[0])
+                                     truss_decompose(Subgraph.full(g)))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
@@ -297,10 +298,10 @@ class TestMaxTrussnessConnecting:
         if ap[(a, b)] == UNREACHABLE:
             with pytest.raises(ValueError):
                 max_trussness_connecting(Subgraph.full(g), [a, b],
-                                         truss_decompose(Subgraph.full(g))[0])
+                                         truss_decompose(Subgraph.full(g)))
             return
         k, sub = max_trussness_connecting(Subgraph.full(g), [a, b],
-                                          truss_decompose(Subgraph.full(g))[0])
+                                          truss_decompose(Subgraph.full(g)))
         tau = oracle_truss(adj_of(g))
         best = 2
         for kk in range(max(tau.values()), 1, -1):
