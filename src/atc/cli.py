@@ -46,7 +46,7 @@ from .index import (
     save_index,
 )
 from .local import BAD, classify_query, locatc_search
-from .truss import Subgraph, truss_decompose
+from .truss import truss_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     pq = sub.add_parser("query", help="run one community search query")
     pq.add_argument("--graph", required=True)
     pq.add_argument("--attr-file", default=None, help="attribute file")
-    pq.add_argument("--index", default=None, help="prebuilt index (algo local)")
+    pq.add_argument("--index", default=None, help="prebuilt index (local only)")
     pq.add_argument("--algo", choices=["basic", "bulk", "local"], default="local")
     pq.add_argument("--nodes", required=True, help="comma-separated vertex ids")
     pq.add_argument("--attrs", default=None, help="comma-separated labels")
@@ -151,7 +151,7 @@ def cmd_index(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = load_edge_list(args.graph)
-    lines = edge_rows(truss_decompose(Subgraph.full(g)), g.ext_ids)
+    lines = edge_rows(truss_decompose(g), g.ext_ids)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -166,6 +166,9 @@ def _parse_query(args) -> tuple[QuerySpec, list[str]]:
     error.  Returns the query on external vertex ids, and the labels."""
     if args.auto_kd and (args.k is not None or args.d is not None):
         raise UsageError("--auto-kd is mutually exclusive with --k/--d")
+    for flag, given in (("--auto-kd", args.auto_kd), ("--index", args.index)):
+        if given and args.algo != "local":
+            raise UsageError(f"{flag} applies to --algo local only")
     try:
         nodes = frozenset(parse_vertex_id(t) for t in args.nodes.split(","))
     except ValueError as exc:

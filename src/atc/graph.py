@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 UNREACHABLE = float("inf")
@@ -26,13 +27,53 @@ class UnknownAttributeError(KeyError):
     pass
 
 
-class Graph:
-    """Immutable simple undirected graph with per-vertex attribute sets."""
+class _View:
+    """The read half of Graph and Subgraph: `adj` maps each vertex to its
+    neighbours and `m` counts the edges."""
+
+    __slots__ = ()
+
+    @property
+    def vertices(self):
+        return self.adj.keys()
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self.adj
+
+    def num_vertices(self) -> int:
+        return len(self.adj)
+
+    def num_edges(self) -> int:
+        return self.m
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for u, ns in self.adj.items():
+            for v in ns:
+                if u < v:
+                    yield (u, v)
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges())
+
+    def copy(self) -> "Subgraph":
+        """A mutable Subgraph with the same vertices and edges."""
+        return Subgraph(self.parent, {v: set(ns) for v, ns in self.adj.items()},
+                        self.m)
+
+
+class Graph(_View):
+    """Immutable simple undirected graph with per-vertex attribute sets.
+
+    `adj` maps each vertex to the sorted tuple of its neighbours, through a
+    read-only mapping.  A Graph is its own full view: the searches read it
+    in place, and `copy()` gives a mutable Subgraph to peel.
+    """
 
     def __init__(self, adjacency: list[list[int]], ext_ids: list[int]):
-        self.adj = [sorted(ns) for ns in adjacency]
+        self.adj = MappingProxyType(
+            {v: tuple(sorted(ns)) for v, ns in enumerate(adjacency)})
         self.n = len(adjacency)
-        self.m = sum(len(ns) for ns in self.adj) // 2
+        self.m = sum(map(len, self.adj.values())) // 2
         self.ext_ids = list(ext_ids)
         self.ext_to_int = {e: i for i, e in enumerate(self.ext_ids)}
         # attribute state; empty until attach_attributes
@@ -124,23 +165,15 @@ class Graph:
             raise UnknownAttributeError(w)
         return self.postings[w]
 
-    def total_attr_count(self) -> int:
-        return sum(len(a) for a in self.attrs)
-
-    def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self.n
+    @property
+    def parent(self) -> "Graph":
+        return self
 
     def internal(self, ext: int) -> int:
         try:
             return self.ext_to_int[ext]
         except KeyError:
             raise UnknownVertexError(ext) from None
-
-    def edge_iter(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
 
 
 def parse_vertex_id(token: str) -> int:
@@ -226,7 +259,7 @@ class QuerySpec:
             raise ValueError("eta must be >= 1")
 
 
-class Subgraph:
+class Subgraph(_View):
     """Mutable vertex/edge-induced view over a parent Graph.
 
     Vertices are the keys of ``adj``; isolated members keep an empty set.
@@ -240,56 +273,17 @@ class Subgraph:
         self.adj = adj
         self.m = m
 
-    @classmethod
-    def full(cls, parent: Graph) -> "Subgraph":
-        adj = {v: set(parent.adj[v]) for v in range(parent.n)}
-        return cls(parent, adj, parent.m)
-
-    @property
-    def vertices(self):
-        return self.adj.keys()
-
-    def copy(self) -> "Subgraph":
-        return Subgraph(self.parent, {v: set(s) for v, s in self.adj.items()}, self.m)
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self.adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.adj and v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def num_vertices(self) -> int:
-        return len(self.adj)
-
-    def num_edges(self) -> int:
-        return self.m
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, ns in self.adj.items():
-            for v in ns:
-                if u < v:
-                    yield (u, v)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges())
-
     def remove_edge(self, u: int, v: int) -> None:
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         self.m -= 1
 
-    def remove_vertex(self, v: int) -> list[tuple[int, int]]:
-        """Delete v and incident edges; returns the removed edges."""
+    def remove_vertex(self, v: int) -> None:
+        """Delete v and its incident edges."""
         ns = self.adj.pop(v)
-        removed = []
         for u in ns:
             self.adj[u].discard(v)
-            removed.append((v, u) if v < u else (u, v))
-        self.m -= len(removed)
-        return removed
+        self.m -= len(ns)
 
 
 def induced_subgraph(src: Graph | Subgraph, vertices: Iterable[int]) -> Subgraph:
@@ -300,7 +294,7 @@ def induced_subgraph(src: Graph | Subgraph, vertices: Iterable[int]) -> Subgraph
             raise UnknownVertexError(v)
     adj = {v: vs.intersection(src.adj[v]) for v in vs}
     m = sum(len(s) for s in adj.values()) // 2
-    return Subgraph(src if isinstance(src, Graph) else src.parent, adj, m)
+    return Subgraph(src.parent, adj, m)
 
 
 def project_on_attribute(g: Graph, w: int) -> Subgraph:
@@ -362,7 +356,7 @@ def source_distances(adj, sources: Iterable[int]) -> dict:
     return dist
 
 
-def query_distance(h: Subgraph, query_nodes: Iterable[int]):
+def query_distance(h: Graph | Subgraph, query_nodes: Iterable[int]):
     """Per-vertex max hop distance to the query nodes, plus the graph value.
 
     Unreachable pairs are encoded as UNREACHABLE.  Returns (dist_map, value).

@@ -86,9 +86,8 @@ def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
 
 
 def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> KdTruss:
-    parent = g if isinstance(g, Graph) else g.parent
     for w in q.query_attrs:
-        parent.vertices_with(w)  # raises UnknownAttributeError
+        g.parent.vertices_with(w)  # raises UnknownAttributeError
     kd = maximal_kd_truss(g, q.query_nodes, k, d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)

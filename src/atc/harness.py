@@ -303,7 +303,7 @@ def write_edges(g: Graph, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         ext = g.ext_ids
         rows = sorted((min(ext[u], ext[v]), max(ext[u], ext[v]))
-                      for u, v in g.edge_iter())
+                      for u, v in g.edges())
         for a, b in rows:
             fh.write(f"{a} {b}\n")
         for v in sorted(g.ext_ids):

@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .graph import Graph, UnknownAttributeError, project_on_attribute
-from .truss import truss_decompose, Subgraph
+from .truss import truss_decompose
 
 FORMAT_MAGIC = "ATIDX"
 FORMAT_VERSION = 3
@@ -89,7 +89,7 @@ class ATIndex:
 
 def build_index(g: Graph) -> ATIndex:
     """Decompose G and every attribute projection."""
-    edge_tau = truss_decompose(Subgraph.full(g))
+    edge_tau = truss_decompose(g)
     attr_edge = {w: truss_decompose(project_on_attribute(g, w))
                  for w in range(len(g.attr_labels))}
     return ATIndex(g.n, edge_tau, attr_edge)
@@ -120,8 +120,8 @@ def graph_digest(g: Graph) -> int:
         return sum(f * sum(map(hv.__getitem__, vs))
                    for f, vs in zip(factors, vertex_lists))
 
-    # adjacency lists count each edge from both ends
-    return (weighted(hv, g.adj) // 2 + weighted(hw, g.postings)) & _M64
+    # adjacency tuples count each edge from both ends
+    return (weighted(hv, g.adj.values()) // 2 + weighted(hw, g.postings)) & _M64
 
 
 def _graph_line(g: Graph) -> str:

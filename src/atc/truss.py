@@ -61,7 +61,7 @@ def _peel_edges(h: Subgraph, sup: dict, thr: int, pending: deque,
                     pending.append(other)
 
 
-def truss_decompose(h: Subgraph) -> dict[tuple[int, int], int]:
+def truss_decompose(h: Graph | Subgraph) -> dict[tuple[int, int], int]:
     """Peel level by level; returns the trussness of every edge of h.
 
     tau(e) is the largest k such that some k-truss of h contains e: the
@@ -92,7 +92,7 @@ class KdTruss:
     sup: Optional[dict] = None  # the subgraph's edge supports, when valid
 
 
-def _query_verdict(h: Subgraph, qs: list[int], d: int):
+def _query_verdict(h: Graph | Subgraph, qs: list[int], d: int):
     """(query distances, None) when every query node is in h within
     distance d of the others, else (None, why not)."""
     if any(not h.has_vertex(q) for q in qs):
@@ -171,13 +171,13 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
                      d: int) -> KdTruss:
-    """Maximal (k,d)-truss of the d-ball around the query nodes."""
+    """Maximal (k,d)-truss of the d-ball around the query nodes.  g is only
+    read; sets are built for the d-ball alone."""
     qs = sorted(set(query_nodes))
-    base = Subgraph.full(g) if isinstance(g, Graph) else g
-    dist, reason = _query_verdict(base, qs, d)
+    dist, reason = _query_verdict(g, qs, d)
     if reason is not None:
         return KdTruss(None, k, d, False, reason)
-    h = induced_subgraph(base, [v for v, dv in dist.items() if dv <= d])
+    h = induced_subgraph(g, [v for v, dv in dist.items() if dv <= d])
     return maintain_kd_truss(h, qs, k, d)
 
 

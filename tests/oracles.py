@@ -28,8 +28,6 @@ from atc.truss import diameter, is_kd_truss
 
 def adj_of(h) -> dict[int, set[int]]:
     """Plain dict-of-sets adjacency from a Graph or Subgraph."""
-    if isinstance(h, Graph):
-        return {v: set(h.adj[v]) for v in range(h.n)}
     return {v: set(ns) for v, ns in h.adj.items()}
 
 

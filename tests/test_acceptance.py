@@ -15,7 +15,6 @@ from atc.cli import run as cli_run
 from atc.graph import (
     Graph,
     QuerySpec,
-    Subgraph,
     induced_subgraph,
     project_on_attribute,
     query_distance,
@@ -116,7 +115,7 @@ def test_criterion_03_truss_oracle_equivalence():
     rng = random.Random(303)
     for trial in range(200):
         g = rand_graph(rng, rng.randint(3, 20), rng.uniform(0.1, 0.55))
-        mine = truss_decompose(Subgraph.full(g))
+        mine = truss_decompose(g)
         assert mine == oracle_truss(adj_of(g)), trial
     print("criterion 3 PASS: decomposition matches pruning oracle, 200 graphs")
 
@@ -276,7 +275,7 @@ def test_criterion_08_index_correctness(tmp_path):
             expect += proj.num_edges()
             proj_tau[w] = truss_decompose(proj)
         assert idx.entry_count() == expect
-        struct = truss_decompose(Subgraph.full(g))
+        struct = truss_decompose(g)
         # vertex trussness: the largest oracle trussness of the vertex's edges
         vertex_tau = [0] * g.n
         for (a, b), t in oracle_truss(adj_of(g)).items():
@@ -290,7 +289,7 @@ def test_criterion_08_index_correctness(tmp_path):
         assert loaded == idx
         save_index(loaded, g, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
-        edges = list(g.edge_iter())
+        edges = list(g.edges())
         for _ in range(40):
             u, v = edges[rng.randrange(len(edges))]
             assert idx.structural_edge(u, v) == struct[edge_key(u, v)]

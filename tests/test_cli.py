@@ -183,7 +183,9 @@ class TestQueryFlags:
         ["--nodes", "0", "--k", "1"], ["--nodes", "0", "--d", "-1"],
         ["--nodes", "0", "--eta", "0"], ["--nodes", "0", "--gamma", "-1"],
         ["--nodes", "0", "--epsilon", "0"], ["--nodes", "0", "--epsilon", "1/0"],
-        ["--nodes", "0", "--gamma", "1/0"]])
+        ["--nodes", "0", "--gamma", "1/0"],
+        ["--nodes", "0", "--algo", "bulk", "--auto-kd"],
+        ["--nodes", "0", "--algo", "basic", "--index", "/nonexistent"]])
     def test_usage_error_before_load(self, tmp_path, capsys, flags):
         assert run(["query", "--graph", str(tmp_path / "nope"), *flags]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from atc.graph import (
     Graph,
     GraphFormatError,
     QuerySpec,
-    Subgraph,
     UNREACHABLE,
     UnknownAttributeError,
     UnknownVertexError,
@@ -118,7 +117,7 @@ class TestLoadAttributes:
             assert len(g.vertices_with(w)) == sum(
                 1 for v in range(g.n) if w in g.attrs[v])
         # double counting: sum of attr set sizes == sum of posting sizes
-        assert g.total_attr_count() == sum(
+        assert sum(len(a) for a in g.attrs) == sum(
             len(g.vertices_with(w)) for w in range(len(g.attr_labels)))
 
 
@@ -157,7 +156,7 @@ class TestInducedSubgraph:
     @settings(max_examples=30, deadline=None)
     def test_adjacency_symmetry(self, seed):
         g = rand_graph(random.Random(seed), 12, 0.25)
-        h = Subgraph.full(g)
+        h = g
         for u, v in h.edges():
             assert u in h.adj[v] and v in h.adj[u]
 
@@ -165,21 +164,21 @@ class TestInducedSubgraph:
 class TestQueryDistance:
     def test_single_query_eccentricity(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        h = Subgraph.full(g)
+        h = g
         dist, val = query_distance(h, [g.internal(0)])
         assert dist[g.internal(0)] == 0
         assert val == 3
 
     def test_path_two_queries(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
-        h = Subgraph.full(g)
+        h = g
         a, b, c = g.internal(0), g.internal(1), g.internal(2)
         dist, val = query_distance(h, [a, c])
         assert dist[b] == 1 and val == 2
 
     def test_unreachable_sentinel(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        h = Subgraph.full(g)
+        h = g
         dist, val = query_distance(h, [g.internal(0)])
         assert dist[g.internal(2)] == UNREACHABLE
         assert val == UNREACHABLE
@@ -193,7 +192,7 @@ class TestQueryDistance:
         rng = random.Random(seed)
         n = rng.randint(2, 40)
         g = rand_graph(rng, n, rng.uniform(2, 8) / n)
-        h = Subgraph.full(g)
+        h = g
         if rng.random() < 0.5:
             h = induced_subgraph(g, rng.sample(range(n), rng.randint(1, n)))
         vs = list(h.vertices)
@@ -224,7 +223,7 @@ class TestProjection:
         g = rand_graph(random.Random(seed), 12, 0.3, n_attrs=3)
         for w in range(len(g.attr_labels)):
             h = project_on_attribute(g, w)
-            expect = {(u, v) for u, v in g.edge_iter()
+            expect = {(u, v) for u, v in g.edges()
                       if w in g.attrs[u] and w in g.attrs[v]}
             assert set(h.edges()) == expect
 
@@ -250,16 +249,17 @@ class TestQuerySpec:
 
 
 class TestSubgraphMutation:
-    def test_remove_vertex_returns_edges(self):
+    def test_remove_vertex_drops_incident_edges(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2)])
-        h = Subgraph.full(g)
-        removed = h.remove_vertex(g.internal(0))
-        assert len(removed) == 2
+        h = g.copy()
+        h.remove_vertex(g.internal(0))
         assert h.num_edges() == 1
+        assert list(h.edges()) == [(g.internal(1), g.internal(2))]
 
     def test_copy_is_independent(self):
         g = Graph.from_edges([(0, 1)])
-        h = Subgraph.full(g)
+        h = g.copy()
         c = h.copy()
         h.remove_edge(0, 1)
-        assert c.has_edge(0, 1)
+        assert 1 in c.adj[0] and 0 in c.adj[1]
+        assert g.adj == {0: (1,), 1: (0,)}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, QuerySpec, Subgraph, UnknownAttributeError
+from atc.graph import Graph, QuerySpec, UnknownAttributeError
 from atc.greedy import (
     NoFeasibleCommunity,
     basic_search,
@@ -14,7 +15,7 @@ from atc.greedy import (
     replay_candidate,
 )
 from atc.score import score_of_vertices
-from atc.truss import is_kd_truss, maintain_kd_truss
+from atc.truss import is_kd_truss, maintain_kd_truss, maximal_kd_truss
 
 from oracles import (adj_of, iteration_bound, oracle_is_kd_truss, oracle_peel,
                      rand_graph, result_adj)
@@ -229,7 +230,8 @@ def test_peel_matches_separate_loops_oracle(seed, k, bulk):
 def test_peel_matches_oracle_on_larger_graphs(seed, k, bulk):
     """On graphs of 14-40 vertices, where rounds drop many vertices and the
     support map is kept across them, basic and bulk still do what the
-    from-scratch loops do."""
+    from-scratch loops do.  Read in place, the Graph gives the same
+    (k,d)-truss, result and trace as its mutable copy."""
     rng = random.Random(seed)
     g = rand_graph(rng, rng.randint(14, 40), rng.uniform(0.2, 0.6), n_attrs=3)
     q = QuerySpec(query_nodes=frozenset(rng.sample(range(g.n), rng.randint(1, 2))),
@@ -237,14 +239,23 @@ def test_peel_matches_oracle_on_larger_graphs(seed, k, bulk):
                                         if rng.random() < 0.6),
                   k=k, d=rng.randint(1, 4),
                   epsilon=rng.choice([Fraction(3, 100), Fraction(1, 4), Fraction(1)]))
+    kd, kc = (maximal_kd_truss(h, q.query_nodes, k, q.d) for h in (g, g.copy()))
+    assert (kd.valid, kd.reason, kd.sup) == (kc.valid, kc.reason, kc.sup)
+    assert not kd.valid or kd.subgraph.adj == kc.subgraph.adj
     expect = oracle_peel(g, q, bulk)
     search = bulk_search if bulk else basic_search
     if expect is None:
-        with pytest.raises(NoFeasibleCommunity):
-            search(g, q)
+        for h in (g, g.copy()):
+            with pytest.raises(NoFeasibleCommunity):
+                search(h, q)
         return
-    res, trace = search(g, q)
+    (res, trace), (rc, tc) = search(g, q), search(g.copy(), q)
     assert (res.vertices, res.edges, res.score, res.iterations, trace.scores) == expect
+    assert dataclasses.replace(res, wall_time=0) == dataclasses.replace(rc, wall_time=0)
+    assert (trace.scores, trace.best, trace.base.adj) == (tc.scores, tc.best, tc.base.adj)
+    # the order of the edge events within a step follows how the d-ball's
+    # neighbour sets were built, so each step is compared as a multiset
+    assert [sorted(s) for s in trace.steps] == [sorted(s) for s in tc.steps]
 
 
 def test_bulk_ranks_emptying_removal_last():

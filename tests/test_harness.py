@@ -33,7 +33,7 @@ class TestGenSynth:
     def test_deterministic(self):
         g1, gt1 = gen_synth(n=120, communities=4, seed=3)
         g2, gt2 = gen_synth(n=120, communities=4, seed=3)
-        assert sorted(g1.edge_iter()) == sorted(g2.edge_iter())
+        assert sorted(g1.edges()) == sorted(g2.edges())
         assert [c.members for c in gt1.communities] == \
             [c.members for c in gt2.communities]
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, Subgraph, UnknownAttributeError, project_on_attribute
+from atc.graph import Graph, UnknownAttributeError, project_on_attribute
 from atc.index import (
     ChecksumError,
     CorruptIndexError,
@@ -117,7 +117,7 @@ class TestSerialization:
         g = rand_graph(rng, 20, 0.3, n_attrs=4)
         idx, path = self._roundtrip(g, tmp_path)
         loaded = load_index(path, g)
-        edges = list(g.edge_iter())
+        edges = list(g.edges())
         for _ in range(200):
             u, v = edges[rng.randrange(len(edges))]
             assert loaded.structural_edge(u, v) == idx.structural_edge(u, v)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, QuerySpec, UNREACHABLE, UnknownAttributeError
 from atc.greedy import NoFeasibleCommunity, basic_search, bulk_search
+from atc.harness import gen_synth, plant_attributes
 import atc.local
-from atc.index import build_index
+from atc.index import build_index, graph_digest
 from atc.local import (
     BAD,
     GOOD,
@@ -21,7 +22,7 @@ from atc.local import (
     steiner_seed,
 )
 from atc.truss import edge_key, truss_decompose
-from atc.graph import Subgraph, project_on_attribute
+from atc.graph import project_on_attribute
 
 from oracles import (
     attribute_truss_distance,
@@ -55,7 +56,7 @@ class TestAttributeTrussDistance:
     def test_gamma_zero_pure_hops(self):
         g = rand_graph(random.Random(1), 10, 0.4, n_attrs=2)
         idx = build_index(g)
-        for e in g.edge_iter():
+        for e in g.edges():
             assert attribute_truss_distance(idx, e, {0, 1}, Fraction(0)) == 1
 
     def test_zero_shortfall_weight_one(self):
@@ -78,9 +79,9 @@ class TestAttributeTrussDistance:
         wq = set(rng.sample(range(n_labels), rng.randint(0, n_labels)))
         proj_tau = {w: truss_decompose(project_on_attribute(g, w))
                     for w in wq}
-        struct_tau = truss_decompose(Subgraph.full(g))
+        struct_tau = truss_decompose(g)
         tau_max = max(struct_tau.values())
-        edges = list(g.edge_iter())
+        edges = list(g.edges())
         e = edges[rng.randrange(len(edges))]
         shortfall = tau_max - struct_tau[e]
         for w in wq:
@@ -173,7 +174,7 @@ class TestExpandCandidate:
         gt = expand_candidate(g, idx, seed, q)
         assert set(gt.vertices) == set(seed.vertices)
         # induced edges are added
-        expect = {(u, v) for u, v in g.edge_iter()
+        expect = {(u, v) for u, v in g.edges()
                   if u in seed.vertices and v in seed.vertices}
         assert set(gt.sorted_edges()) == expect
 
@@ -279,7 +280,7 @@ class TestUnknownAttribute:
         idx = build_index(g)
         q = QuerySpec(frozenset(nodes), frozenset({0}), k=3, d=2)
         calls = (lambda: basic_search(g, q), lambda: bulk_search(g, q),
-                 lambda: bulk_search(Subgraph.full(g), q),
+                 lambda: bulk_search(g.copy(), q),
                  lambda: steiner_seed(g, idx, q), lambda: locatc_search(g, idx, q))
         for call in calls:
             with pytest.raises(UnknownAttributeError):
@@ -399,3 +400,33 @@ class TestClassifyQuery:
         assert len(cls.suggestions) == 2
         attr_sets = [set(a) for _, a in cls.suggestions]
         assert {g.attr_id("x")} in attr_sets and {g.attr_id("y")} in attr_sets
+
+
+def test_graph_is_read_only():
+    """The index build, the three searches and classify_query leave the
+    Graph's adjacency and digest as they were; the adjacency takes no
+    mutator, and the Graph has none."""
+    g, gt = gen_synth(n=150, communities=5, seed=4)
+    plant_attributes(g, gt, rng_seed=4)
+    adj, digest = dict(g.adj), graph_digest(g)
+    idx = build_index(g)
+    one = sorted(gt.communities[0].members)[:2]
+    two = one + sorted(gt.communities[1].members)[:1]
+    for nodes in (one, two):  # a good query, then a bad one
+        q = spec(g, nodes, gt.communities[0].attrs[:1], k=3, d=2)
+        for search in (lambda: basic_search(g, q), lambda: bulk_search(g, q),
+                       lambda: locatc_search(g, idx, q)):
+            try:
+                search()
+            except NoFeasibleCommunity:
+                pass
+        classify_query(g, q)
+    assert g.adj == adj and graph_digest(g) == digest
+    v = next(iter(adj))
+    with pytest.raises(TypeError):
+        g.adj[v] = ()
+    with pytest.raises(AttributeError):
+        g.adj.clear()
+    with pytest.raises(AttributeError):
+        g.adj[v].append(v)
+    assert not hasattr(g, "remove_edge") and not hasattr(g, "remove_vertex")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, Subgraph, induced_subgraph
+from atc.graph import Graph, induced_subgraph
 from atc.score import (
     ScoreBreakdown,
     majority_from_breakdown,
@@ -43,7 +43,7 @@ class TestAttributeScore:
         # 5 vertices all covering DB, 2 of them also DM: 5*1 + 2*(2/5) = 5.8
         g = attributed(5, {v: ["DB"] + (["DM"] if v < 2 else []) for v in range(5)})
         wq = [g.attr_id("DB"), g.attr_id("DM")]
-        bd = attribute_score(Subgraph.full(g), wq)
+        bd = attribute_score(g, wq)
         assert bd.score == Fraction(29, 5)
 
     def test_eight_vertex_example(self):
@@ -55,16 +55,16 @@ class TestAttributeScore:
             table[v].append("DM")
         g = attributed(8, table)
         wq = [g.attr_id("DB"), g.attr_id("DM")]
-        assert attribute_score(Subgraph.full(g), wq).score == Fraction(25, 4)
+        assert attribute_score(g, wq).score == Fraction(25, 4)
 
     def test_empty_wq_zero(self):
         g = attributed(4, {0: ["x"]})
-        assert attribute_score(Subgraph.full(g), []).score == 0
+        assert attribute_score(g, []).score == 0
 
     def test_uncovered_wq_zero(self):
         g = attributed(4, {v: ["x"] for v in range(4)})
         g2 = attributed(4, {v: ["x", "y"] for v in range(4)})
-        assert attribute_score(Subgraph.full(g2), []).score == 0
+        assert attribute_score(g2, []).score == 0
         assert score_of_vertices(g, range(4), set()).score == 0
 
     def test_empty_vertex_set_zero(self):
@@ -121,13 +121,13 @@ class TestNonSubmodularity:
 class TestScoreContribution:
     def test_no_query_attrs_zero(self):
         g = attributed(4, {0: ["x"]})
-        h = Subgraph.full(g)
+        h = g
         assert score_contribution(h, 1, [g.attr_id("x")]) == 0
 
     def test_direct_formula(self):
         # c_DB = 5; a vertex covering only DB contributes 2*5-1 = 9
         g = attributed(6, {v: ["DB"] for v in range(5)})
-        h = Subgraph.full(g)
+        h = g
         assert score_contribution(h, 0, [g.attr_id("DB")]) == 9
 
     def test_absent_vertex_raises(self):
@@ -158,7 +158,7 @@ class TestLocalMarginalGain:
         base = list(itertools.combinations(range(9), 2))  # K9 incl. q1=0
         edges = base + [(9, 10), (10, 11), (9, 11), (10, 1)]  # v8=9, v9=10, v10=11
         g = attributed(12, {0: ["ML"], 9: ["ML"], 11: ["ML"]}, edges=edges)
-        h = Subgraph.full(g)
+        h = g.copy()
         assert sorted(removal_set(h, 10, 3, degree_floor(h, 3))) == [9, 10, 11]
         gain = local_marginal_gain(h, 10, [g.attr_id("ML")], k=3)
         assert gain == Fraction(3, 4) - Fraction(1, 9)
@@ -166,7 +166,7 @@ class TestLocalMarginalGain:
 
     def test_isolated_impact_equals_single_deletion(self):
         g = attributed(5, {v: ["x"] for v in range(3)})
-        h = Subgraph.full(g)  # K5: no neighbor has degree k-1 for k=3
+        h = g.copy()  # K5: no neighbor has degree k-1 for k=3
         wq = [g.attr_id("x")]
         v = 4
         assert removal_set(h, v, 3, degree_floor(h, 3)) == [v]
@@ -176,7 +176,7 @@ class TestLocalMarginalGain:
 
     def test_emptying_removal_rejected(self):
         g = attributed(2, {}, edges=[(0, 1)])
-        h = Subgraph.full(g)
+        h = g
         with pytest.raises(ValueError):
             local_marginal_gain(h, 0, [], k=2)
 
@@ -185,7 +185,7 @@ class TestLocalMarginalGain:
     def test_matches_materialization_oracle(self, seed):
         rng = random.Random(seed)
         g = rand_graph(rng, rng.randint(3, 15), 0.4, n_attrs=3)
-        h = Subgraph.full(g)
+        h = g.copy()
         wq = set(rng.sample(range(3), 2))
         k = rng.randint(2, 5)
         v = rng.randrange(g.n)
@@ -200,13 +200,13 @@ class TestLocalMarginalGain:
 class TestMajorityAndMonotonicity:
     def test_superset_with_full_cover(self):
         g = attributed(4, {v: ["a", "b"] for v in range(4)})
-        h = Subgraph.full(g)
+        h = g
         wq = [g.attr_id("a"), g.attr_id("b")]
         assert is_majority(h, set(wq), wq)
 
     def test_disjoint_with_positive_score(self):
         g = attributed(4, {v: ["a"] for v in range(4)})
-        h = Subgraph.full(g)
+        h = g
         assert not is_majority(h, set(), [g.attr_id("a")])
 
     @given(st.integers(0, 40), st.lists(st.integers(0, 40), max_size=4),

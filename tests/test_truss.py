@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, Subgraph, UNREACHABLE, induced_subgraph
+from atc.graph import Graph, UNREACHABLE, induced_subgraph
 from atc.index import build_index
 from atc.truss import (
     QUERY_NODE_PRUNED,
@@ -39,27 +39,27 @@ def clique(n):
 class TestSupports:
     def test_triangle(self):
         g = clique(3)
-        assert set(compute_supports(Subgraph.full(g)).values()) == {1}
+        assert set(compute_supports(g.copy()).values()) == {1}
 
     def test_three_triangle_edge(self):
         # edge (1,2) shares triangles with 0, 3 and 4: support 3
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(4, 1), (4, 2)])
-        sup = compute_supports(Subgraph.full(g))
+        sup = compute_supports(g.copy())
         assert sup[(g.internal(1), g.internal(2))] == 3
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
     def test_matches_triple_oracle(self, seed):
         g = rand_graph(random.Random(seed), 18, 0.25)
-        assert compute_supports(Subgraph.full(g)) == oracle_supports(adj_of(g))
+        assert compute_supports(g.copy()) == oracle_supports(adj_of(g))
 
 
 class TestTrussDecompose:
     def test_clique(self):
         for n in (3, 4, 5, 6):
             g = clique(n)
-            et = truss_decompose(Subgraph.full(g))
+            et = truss_decompose(g)
             assert set(et.values()) == {n}
             assert {build_index(g).structural_vertex(v) for v in range(n)} == {n}
 
@@ -68,7 +68,7 @@ class TestTrussDecompose:
         # the triangle q1-v1-v2 taken alone is only a 3-truss.
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(4, 1), (4, 2)])
-        et = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(g)
         assert et[tuple(sorted((g.internal(0), g.internal(1))))] == 4
         assert build_index(g).structural_vertex(g.internal(0)) == 4
         tri = induced_subgraph(g, [g.internal(0), g.internal(1), g.internal(2)])
@@ -85,14 +85,14 @@ class TestTrussDecompose:
         rng = random.Random(seed)
         # dense draws reach many trussness levels
         g = rand_graph(rng, rng.randint(3, 18), rng.uniform(0.1, 0.9))
-        et = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(g)
         assert et == oracle_truss(adj_of(g))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
     def test_hierarchy(self, seed):
         g = rand_graph(random.Random(seed), 14, 0.35)
-        et = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(g)
         if not et:
             return
         adj = adj_of(g)
@@ -108,7 +108,7 @@ class TestTrussDecompose:
     @settings(max_examples=20, deadline=None)
     def test_min_degree_in_k_truss(self, seed):
         g = rand_graph(random.Random(seed), 14, 0.35)
-        et = truss_decompose(Subgraph.full(g))
+        et = truss_decompose(g)
         for k in set(et.values()):
             deg = {}
             for (u, v), t in et.items():
@@ -121,26 +121,26 @@ class TestTrussDecompose:
 class TestMaintain:
     def test_fixpoint_unchanged(self):
         g = clique(5)
-        h = Subgraph.full(g)
+        h = g.copy()
         kd = maintain_kd_truss(h, [0], 4, 1)
         assert kd.valid
-        assert set(kd.subgraph.edges()) == set(Subgraph.full(g).edges())
+        assert set(kd.subgraph.edges()) == set(g.edges())
 
     def test_tree_invalid_for_k3(self):
         g = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
-        kd = maintain_kd_truss(Subgraph.full(g), [g.internal(0)], 3, 5)
+        kd = maintain_kd_truss(g.copy(), [g.internal(0)], 3, 5)
         # every edge peels, leaving the singleton query vertex
         assert kd.valid and kd.subgraph.num_vertices() == 1
 
     def test_query_node_pruned_reason(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        kd = maintain_kd_truss(Subgraph.full(g), [g.internal(0), g.internal(3)], 3, 1)
+        kd = maintain_kd_truss(g.copy(), [g.internal(0), g.internal(3)], 3, 1)
         assert not kd.valid
         assert kd.reason in (QUERY_NODE_PRUNED, QUERY_NODES_DISCONNECTED)
 
     def test_disconnected_reason(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        kd = maintain_kd_truss(Subgraph.full(g), [g.internal(0), g.internal(2)], 2, 5)
+        kd = maintain_kd_truss(g.copy(), [g.internal(0), g.internal(2)], 2, 5)
         assert not kd.valid and kd.reason == QUERY_NODES_DISCONNECTED
 
     @given(st.integers(0, 2**30))
@@ -151,7 +151,7 @@ class TestMaintain:
         qs = rng.sample(range(g.n), rng.randint(1, 2))
         k = rng.randint(2, 5)
         d = rng.randint(1, 4)
-        kd = maintain_kd_truss(Subgraph.full(g), qs, k, d)
+        kd = maintain_kd_truss(g.copy(), qs, k, d)
         oadj, ovalid, oreason = oracle_maintain(adj_of(g), qs, k, d)
         assert kd.valid == ovalid
         if kd.valid:
@@ -202,7 +202,7 @@ class TestMaintain:
     def test_events_replay_to_result(self, seed):
         rng = random.Random(seed)
         g = rand_graph(rng, 12, 0.3)
-        base = Subgraph.full(g)
+        base = g
         events = []
         kd = maintain_kd_truss(base.copy(), [0], 3, 2, events=events)
         if kd.valid:
@@ -214,7 +214,7 @@ class TestMaintain:
         rng = random.Random(99)
         for _ in range(30):
             g = rand_graph(rng, 14, 0.35)
-            kd = maintain_kd_truss(Subgraph.full(g), [0], 3, 3)
+            kd = maintain_kd_truss(g.copy(), [0], 3, 3)
             if kd.valid:
                 assert is_kd_truss(kd.subgraph, [0], 3, 3)
 
@@ -264,25 +264,25 @@ class TestMaximalKdTruss:
 class TestMaxTrussnessConnecting:
     def test_clique(self):
         g = clique(5)
-        k, sub = max_trussness_connecting(Subgraph.full(g), [0, 3],
-                                          truss_decompose(Subgraph.full(g)))
+        k, sub = max_trussness_connecting(g, [0, 3],
+                                          truss_decompose(g))
         assert k == 5 and set(sub.vertices) == set(range(5))
 
     def test_single_node_vertex_trussness(self):
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(3, 4)])
-        k, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(0)],
-                                        truss_decompose(Subgraph.full(g)))
+        k, _ = max_trussness_connecting(g, [g.internal(0)],
+                                        truss_decompose(g))
         assert k == 4
-        k2, _ = max_trussness_connecting(Subgraph.full(g), [g.internal(4)],
-                                         truss_decompose(Subgraph.full(g)))
+        k2, _ = max_trussness_connecting(g, [g.internal(4)],
+                                         truss_decompose(g))
         assert k2 == 2
 
     def test_disconnected_error(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            max_trussness_connecting(Subgraph.full(g), [g.internal(0), g.internal(2)],
-                                     truss_decompose(Subgraph.full(g)))
+            max_trussness_connecting(g, [g.internal(0), g.internal(2)],
+                                     truss_decompose(g))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
@@ -297,11 +297,11 @@ class TestMaxTrussnessConnecting:
         a, b = rng.sample(pool, 2)
         if ap[(a, b)] == UNREACHABLE:
             with pytest.raises(ValueError):
-                max_trussness_connecting(Subgraph.full(g), [a, b],
-                                         truss_decompose(Subgraph.full(g)))
+                max_trussness_connecting(g, [a, b],
+                                         truss_decompose(g))
             return
-        k, sub = max_trussness_connecting(Subgraph.full(g), [a, b],
-                                          truss_decompose(Subgraph.full(g)))
+        k, sub = max_trussness_connecting(g, [a, b],
+                                          truss_decompose(g))
         tau = oracle_truss(adj_of(g))
         best = 2
         for kk in range(max(tau.values()), 1, -1):
@@ -358,14 +358,14 @@ class TestMaxTrussnessConnecting:
 class TestDiameter:
     def test_path(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        assert diameter(Subgraph.full(g)) == 3
+        assert diameter(g) == 3
 
     def test_clique(self):
-        assert diameter(Subgraph.full(clique(5))) == 1
+        assert diameter(clique(5)) == 1
 
     def test_disconnected(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        assert diameter(Subgraph.full(g)) == UNREACHABLE
+        assert diameter(g) == UNREACHABLE
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
@@ -376,7 +376,7 @@ class TestDiameter:
         rng = random.Random(seed)
         n = rng.randint(65, 90)
         g = rand_graph(rng, n, rng.uniform(3, 10) / n)
-        h = Subgraph.full(g)
+        h = g
         if rng.random() < 0.5:
             h = induced_subgraph(g, rng.sample(range(n), rng.randint(2, n)))
         ap = oracle_all_pairs(adj_of(h))
