@@ -53,6 +53,14 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
+# --algo -> search(g, idx, q) giving a SearchResult; idx is None but for local
+SEARCHES = {
+    "basic": lambda g, idx, q: basic_search(g, q)[0],
+    "bulk": lambda g, idx, q: bulk_search(g, q)[0],
+    "local": locatc_search,
+    "baseline": lambda g, idx, q: structure_baseline(g, q)[0],
+}
+
 
 class UsageError(Exception):
     pass
@@ -114,9 +122,10 @@ def build_parser() -> _Parser:
     pq.add_argument("--d", type=int, default=None)
     pq.add_argument("--auto-kd", action="store_true",
                     help="derive (k,d) from the candidate graph (local only)")
-    pq.add_argument("--gamma", type=fraction, default=Fraction(1, 5))
-    pq.add_argument("--eta", type=int, default=1000)
-    pq.add_argument("--epsilon", type=fraction, default=Fraction(3, 100))
+    pq.add_argument("--gamma", type=fraction, default=None, help="local only")
+    pq.add_argument("--eta", type=int, default=None, help="local only")
+    pq.add_argument("--epsilon", type=fraction, default=None,
+                    help="bulk and local only")
     pq.add_argument("--suggest-on-bad", action="store_true")
     pq.add_argument("--fail-on-empty", action="store_true")
 
@@ -134,8 +143,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--attrs", required=True)
     pe.add_argument("--truth", required=True)
     pe.add_argument("--queries", required=True)
-    pe.add_argument("--algo", choices=["basic", "bulk", "local", "baseline"],
-                    default="local")
+    pe.add_argument("--algo", choices=list(SEARCHES), default="local")
     pe.add_argument("--report", required=True)
     return p
 
@@ -166,9 +174,14 @@ def _parse_query(args) -> tuple[QuerySpec, list[str]]:
     error.  Returns the query on external vertex ids, and the labels."""
     if args.auto_kd and (args.k is not None or args.d is not None):
         raise UsageError("--auto-kd is mutually exclusive with --k/--d")
-    for flag, given in (("--auto-kd", args.auto_kd), ("--index", args.index)):
-        if given and args.algo != "local":
-            raise UsageError(f"{flag} applies to --algo local only")
+    for flag, given, algos in (
+            ("--auto-kd", args.auto_kd, ("local",)),
+            ("--index", args.index, ("local",)),
+            ("--gamma", args.gamma is not None, ("local",)),
+            ("--eta", args.eta is not None, ("local",)),
+            ("--epsilon", args.epsilon is not None, ("bulk", "local"))):
+        if given and args.algo not in algos:
+            raise UsageError(f"{flag} applies to --algo {' and '.join(algos)} only")
     try:
         nodes = frozenset(parse_vertex_id(t) for t in args.nodes.split(","))
     except ValueError as exc:
@@ -176,16 +189,11 @@ def _parse_query(args) -> tuple[QuerySpec, list[str]]:
     labels = args.attrs.split(",") if args.attrs else []
     if "" in labels:
         raise UsageError(f"--attrs: empty label in {args.attrs!r}")
+    given = {name: getattr(args, name)
+             for name in ("k", "d", "epsilon", "gamma", "eta")
+             if getattr(args, name) is not None}
     try:
-        return QuerySpec(
-            query_nodes=nodes,
-            k=args.k if args.k is not None else 4,
-            d=args.d if args.d is not None else 4,
-            epsilon=args.epsilon,
-            gamma=args.gamma,
-            eta=args.eta,
-            k_d_auto=args.auto_kd,
-        ), labels
+        return QuerySpec(query_nodes=nodes, k_d_auto=args.auto_kd, **given), labels
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -224,16 +232,10 @@ def cmd_query(args) -> int:
             print(_result_json(g, None, "bad_query", cls.suggestions))
             return EXIT_EMPTY if args.fail_on_empty else EXIT_OK
     try:
-        if args.algo == "basic":
-            res, _ = basic_search(g, q)
-        elif args.algo == "bulk":
-            res, _ = bulk_search(g, q)
-        else:
-            if args.index:
-                idx = load_index(args.index, g)
-            else:
-                idx = build_index(g)
-            res = locatc_search(g, idx, q)
+        idx = None
+        if args.algo == "local":
+            idx = load_index(args.index, g) if args.index else build_index(g)
+        res = SEARCHES[args.algo](g, idx, q)
     except NoFeasibleCommunity:
         print(_result_json(g, None, "infeasible"))
         return EXIT_EMPTY if args.fail_on_empty else EXIT_OK
@@ -261,21 +263,9 @@ def cmd_eval(args) -> int:
     g = _load_graph(args.graph, args.attrs)
     gt = read_truth(args.truth, g)
     queries = read_queries(args.queries, gt, g)
-    if args.algo == "local":
-        idx = build_index(g)
-
-        def run(g_, q):
-            return locatc_search(g_, idx, q)
-    elif args.algo == "basic":
-        def run(g_, q):
-            return basic_search(g_, q)[0]
-    elif args.algo == "bulk":
-        def run(g_, q):
-            return bulk_search(g_, q)[0]
-    else:
-        def run(g_, q):
-            return structure_baseline(g_, q)[0]
-    report = evaluate(g, gt, queries, run)
+    idx = build_index(g) if args.algo == "local" else None
+    search = SEARCHES[args.algo]
+    report = evaluate(g, gt, queries, lambda g_, q: search(g_, idx, q))
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("query\tnodes\tattrs\tstatus\tprecision\trecall\tf1"
                  "\truntime_s\tsize\n")

@@ -6,7 +6,6 @@ dense attribute ids the same way.  All algorithms work on internal ids.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -42,9 +41,6 @@ class _View:
 
     def num_vertices(self) -> int:
         return len(self.adj)
-
-    def num_edges(self) -> int:
-        return self.m
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, ns in self.adj.items():
@@ -302,20 +298,6 @@ def project_on_attribute(g: Graph, w: int) -> Subgraph:
     return induced_subgraph(g, g.vertices_with(w))
 
 
-def bfs_distances(adj, source: int) -> dict[int, int]:
-    """Hop distances from source; adj maps vertex -> neighbor collection."""
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        dv = dist[v]
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dv + 1
-                q.append(u)
-    return dist
-
-
 def source_distances(adj, sources: Iterable[int]) -> dict:
     """Each vertex's largest hop distance to the sources, in adj's key
     order; UNREACHABLE where some source cannot reach it.
@@ -330,7 +312,19 @@ def source_distances(adj, sources: Iterable[int]) -> dict:
     srcs = list(dict.fromkeys(sources))
     dist = dict.fromkeys(adj, UNREACHABLE)
     if len(srcs) == 1:
-        dist.update(bfs_distances(adj, srcs[0]))
+        dist[srcs[0]] = 0
+        seen = set(srcs)  # tests faster than reading dist
+        frontier, level = srcs, 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        dist[u] = level
+                        nxt.append(u)
+            frontier = nxt
         return dist
     full = (1 << len(srcs)) - 1
     need = dict.fromkeys(adj, full)

@@ -21,8 +21,7 @@ from .score import (
     removal_set,
     score_of_vertices,
 )
-from .truss import (KdTruss, diameter, maintain_kd_truss, maximal_kd_truss,
-                    replay_events)
+from .truss import KdTruss, diameter, maintain_kd_truss, maximal_kd_truss
 
 
 class NoFeasibleCommunity(Exception):
@@ -44,10 +43,18 @@ class CandidateTrace:
 
 
 def replay_candidate(trace: CandidateTrace, i: int) -> Subgraph:
-    """Reconstruct candidate G_i from G_0 and the deletion log."""
+    """Reconstruct candidate G_i by re-applying the first i steps of the
+    deletion log to a copy of G_0."""
     if not (0 <= i < len(trace.scores)):
         raise IndexError(i)
-    return replay_events(trace.base, (ev for step in trace.steps[:i] for ev in step))
+    h = trace.base.copy()
+    for step in trace.steps[:i]:
+        for ev in step:
+            if ev[0] == "v":
+                h.remove_vertex(ev[1])
+            else:
+                h.remove_edge(ev[1], ev[2])
+    return h
 
 
 @dataclass
@@ -64,8 +71,8 @@ class SearchResult:
     wall_time: float
 
 
-def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
-            iterations: int, t0: float) -> SearchResult:
+def _finish(trace: CandidateTrace, q: QuerySpec, algo: str, iterations: int,
+            t0: float) -> SearchResult:
     # argmax over candidates; ties go to the latest (smallest) candidate
     best = max(range(len(trace.scores)), key=lambda i: (trace.scores[i], i))
     trace.best = best
@@ -75,8 +82,8 @@ def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
         vertices=frozenset(h.vertices),
         edges=tuple(h.sorted_edges()),
         score=trace.scores[best],
-        k=k,
-        d=d,
+        k=q.k,
+        d=q.d,
         query_dist=qd,
         diameter=diameter(h),
         algo=algo,
@@ -85,26 +92,23 @@ def _finish(trace: CandidateTrace, q: QuerySpec, k: int, d: int, algo: str,
     )
 
 
-def _initial_truss(g: Graph | Subgraph, q: QuerySpec, k: int, d: int) -> KdTruss:
+def _initial_truss(g: Graph | Subgraph, q: QuerySpec) -> KdTruss:
     for w in q.query_attrs:
         g.parent.vertices_with(w)  # raises UnknownAttributeError
-    kd = maximal_kd_truss(g, q.query_nodes, k, d)
+    kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)
     return kd
 
 
-def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
-          algo: str, pick):
-    """The greedy framework: delete pick(h, cands, bd, k) per round, restore
+def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick):
+    """The greedy framework: delete pick(h, cands, bd) per round, restore
     the (k,d)-truss, and return the best candidate with its trace.
 
     `cands` lists the non-query vertices of h and `bd` is h's score breakdown.
     """
     t0 = time.perf_counter()
-    k = q.k if k is None else k
-    d = q.d if d is None else d
-    kd = _initial_truss(g, q, k, d)
+    kd = _initial_truss(g, q)
     h, sup = kd.subgraph, kd.sup
     parent = h.parent
     bd = score_of_vertices(parent, h.vertices, q.query_attrs)
@@ -116,22 +120,21 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, k: int | None, d: int | None,
             break
         ev = []
         iterations += 1
-        if not maintain_kd_truss(h, q.query_nodes, k, d, events=ev, sup=sup,
-                                 drop=pick(h, cands, bd, k)).valid:
+        if not maintain_kd_truss(h, q.query_nodes, q.k, q.d, events=ev, sup=sup,
+                                 drop=pick(h, cands, bd)).valid:
             break
         bd = score_of_vertices(parent, h.vertices, q.query_attrs)
         trace.steps.append(ev)
         trace.scores.append(bd.score)
-    return _finish(trace, q, k, d, algo, iterations, t0), trace
+    return _finish(trace, q, algo, iterations, t0), trace
 
 
-def basic_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
-                 d: int | None = None):
+def basic_search(g: Graph | Subgraph, q: QuerySpec):
     """Remove one minimum-contribution vertex per iteration (greedy peel)."""
-    def pick(h, cands, bd, k):
+    def pick(h, cands, bd):
         return [min(cands, key=lambda v: (
             contribution_from_breakdown(h.parent, v, bd), v))]
-    return _peel(g, q, k, d, "basic", pick)
+    return _peel(g, q, "basic", pick)
 
 
 def bulk_batch_size(n: int, epsilon: Fraction) -> int:
@@ -139,16 +142,15 @@ def bulk_batch_size(n: int, epsilon: Fraction) -> int:
     return max(1, math.ceil(frac))
 
 
-def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
-                d: int | None = None):
+def bulk_search(g: Graph | Subgraph, q: QuerySpec):
     """Each iteration removes the batch of smallest-marginal-gain vertices."""
-    def pick(h, cands, bd, k):
-        floor = {u for u, ns in h.adj.items() if len(ns) == k - 1}
+    def pick(h, cands, bd):
+        floor = {u for u, ns in h.adj.items() if len(ns) == q.k - 1}
         attrs = h.parent.attrs
         alone = {}  # attributes -> gain of a vertex whose P_H(v) is {v}
 
         def gain(v):
-            batch = removal_set(h, v, k, floor)
+            batch = removal_set(h, v, q.k, floor)
             if len(batch) > 1:
                 return gain_from_breakdown(h.parent, batch, bd)
             if attrs[v] not in alone:
@@ -157,5 +159,5 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec, k: int | None = None,
 
         ranked = sorted(cands, key=lambda v: (gain(v), v))
         return ranked[:bulk_batch_size(h.num_vertices(), q.epsilon)]
-    return _peel(g, q, k, d, "bulk", pick)
+    return _peel(g, q, "bulk", pick)
 

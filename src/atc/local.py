@@ -219,12 +219,10 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
     gt = expand_candidate(g, idx, seed, q)
     k_max, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
     if q.k_d_auto:
-        k = max(2, k_max)
-        _, d = query_distance(gt, q.query_nodes)
-    else:
-        k, d = q.k, q.d
+        q = dataclasses.replace(q, k=max(2, k_max),
+                                d=query_distance(gt, q.query_nodes)[1])
     # under k_d_auto the core is a (k, d)-truss, so only explicit (k, d) can fail
-    res, _ = bulk_search(gt, q, k=k, d=d)
+    res, _ = bulk_search(gt, q)
     return dataclasses.replace(res, algo="local",
                                wall_time=time.perf_counter() - t0)
 

@@ -15,7 +15,6 @@ from .graph import (
     Graph,
     Subgraph,
     UNREACHABLE,
-    bfs_distances,
     induced_subgraph,
     query_distance,
     source_distances,
@@ -85,8 +84,6 @@ def truss_decompose(h: Graph | Subgraph) -> dict[tuple[int, int], int]:
 class KdTruss:
     """Result of (k,d)-truss maintenance; subgraph is None when invalid."""
     subgraph: Optional[Subgraph]
-    k: int
-    d: int
     valid: bool
     reason: Optional[str] = None
     sup: Optional[dict] = None  # the subgraph's edge supports, when valid
@@ -161,10 +158,10 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
         _peel_edges(h, sup, thr, pending, events)
         dist, reason = _query_verdict(h, qs, d)
         if reason is not None:
-            return KdTruss(None, k, d, False, reason)
+            return KdTruss(None, False, reason)
         far = sorted(v for v, dv in dist.items() if dv > d)
         if not far:
-            return KdTruss(h, k, d, True, sup=sup)
+            return KdTruss(h, True, sup=sup)
         for v in far:
             _drop_vertex(h, sup, v, thr, pending, events)
 
@@ -176,7 +173,7 @@ def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
     qs = sorted(set(query_nodes))
     dist, reason = _query_verdict(g, qs, d)
     if reason is not None:
-        return KdTruss(None, k, d, False, reason)
+        return KdTruss(None, False, reason)
     h = induced_subgraph(g, [v for v, dv in dist.items() if dv <= d])
     return maintain_kd_truss(h, qs, k, d)
 
@@ -214,9 +211,10 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
         sup = compute_supports(comp)
         _peel_edges(comp, sup, k - 2,
                     deque(e for e, s in sup.items() if s < k - 2), None)
-        core = bfs_distances(comp.adj, qs[0])
-        if comp.adj[qs[0]] and all(q in core for q in qs):
-            return k, induced_subgraph(comp, core)
+        dist = source_distances(comp.adj, qs[:1])
+        if comp.adj[qs[0]] and all(dist[q] != UNREACHABLE for q in qs):
+            return k, induced_subgraph(
+                comp, [v for v, dv in dist.items() if dv != UNREACHABLE])
     raise ValueError("query nodes are disconnected")
 
 
@@ -229,27 +227,13 @@ def diameter(h: Subgraph):
     return max(source_distances(h.adj, h.vertices).values())
 
 
-def replay_events(base: Subgraph, events: Iterable) -> Subgraph:
-    """Re-apply a deletion log to a copy of `base`."""
-    h = base.copy()
-    for ev in events:
-        if ev[0] == "v":
-            h.remove_vertex(ev[1])
-        else:
-            h.remove_edge(ev[1], ev[2])
-    return h
-
-
 def is_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int) -> bool:
-    """From-scratch check of all four (k,d)-truss conditions."""
+    """From-scratch check of all four (k,d)-truss conditions; false without
+    query nodes."""
     qs = sorted(set(query_nodes))
-    if not h.num_vertices() or any(not h.has_vertex(q) for q in qs):
+    if not qs or any(not h.has_vertex(q) for q in qs):
         return False
-    sup = compute_supports(h)
-    if any(s < k - 2 for s in sup.values()):
+    if any(s < k - 2 for s in compute_supports(h).values()):
         return False
-    first = next(iter(h.vertices))
-    if len(bfs_distances(h.adj, first)) != h.num_vertices():
-        return False
-    _, val = query_distance(h, qs)
-    return val <= d
+    # a vertex some query node cannot reach reads UNREACHABLE: <= d implies connected
+    return query_distance(h, qs)[1] <= d

@@ -8,7 +8,10 @@ import pytest
 
 from atc.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, EXIT_USAGE, format_score, run
 from atc.graph import load_attributes, load_edge_list
-from atc.index import VersionMismatchError, load_index
+from atc.greedy import basic_search, bulk_search
+from atc.harness import evaluate, read_queries, read_truth, structure_baseline
+from atc.index import VersionMismatchError, build_index, load_index
+from atc.local import locatc_search
 from fractions import Fraction
 
 # an index of the 4-cycle below, as format version 1 wrote it
@@ -185,7 +188,13 @@ class TestQueryFlags:
         ["--nodes", "0", "--epsilon", "0"], ["--nodes", "0", "--epsilon", "1/0"],
         ["--nodes", "0", "--gamma", "1/0"],
         ["--nodes", "0", "--algo", "bulk", "--auto-kd"],
-        ["--nodes", "0", "--algo", "basic", "--index", "/nonexistent"]])
+        ["--nodes", "0", "--algo", "basic", "--index", "/nonexistent"],
+        # flags the chosen search would ignore
+        ["--nodes", "0", "--algo", "basic", "--gamma", "1/3"],
+        ["--nodes", "0", "--algo", "bulk", "--gamma", "1/3"],
+        ["--nodes", "0", "--algo", "basic", "--eta", "5"],
+        ["--nodes", "0", "--algo", "bulk", "--eta", "5"],
+        ["--nodes", "0", "--algo", "basic", "--epsilon", "0.5"]])
     def test_usage_error_before_load(self, tmp_path, capsys, flags):
         assert run(["query", "--graph", str(tmp_path / "nope"), *flags]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -194,6 +203,11 @@ class TestQueryFlags:
     def test_good_flags_reach_the_missing_file(self, tmp_path, capsys):
         assert run(["query", "--graph", str(tmp_path / "nope"), "--nodes", "0",
                     "--gamma", "1/3", "--epsilon", "0.5"]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+    def test_epsilon_applies_to_bulk(self, tmp_path, capsys):
+        assert run(["query", "--graph", str(tmp_path / "nope"), "--nodes", "0",
+                    "--algo", "bulk", "--epsilon", "0.5"]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
 
@@ -399,3 +413,35 @@ class TestEndToEnd:
         assert len(lines) == 2 + 6  # header + queries + aggregate
         out = capsys.readouterr().out
         assert "mean F1" in out
+
+    def test_eval_runs_the_named_search(self, tmp_path):
+        """Each --algo's report has the status, precision, recall, F1 and
+        size columns of harness.evaluate over the library search it names.
+        On this graph the four searches give four different reports, so a
+        search mapped to the wrong --algo shows."""
+        prefix = str(tmp_path / "s")
+        assert run(["gen", "--n", "120", "--communities", "4", "--queries", "6",
+                    "--p-background", "0.05", "--coverage", "60", "--seed", "1",
+                    "--out-prefix", prefix]) == EXIT_OK
+        g = load_attributes(prefix + ".attrs", load_edge_list(prefix + ".edges"))
+        gt = read_truth(prefix + ".truth", g)
+        queries = read_queries(prefix + ".queries", gt, g)
+        idx = build_index(g)
+        searches = {"basic": lambda g_, q: basic_search(g_, q)[0],
+                    "bulk": lambda g_, q: bulk_search(g_, q)[0],
+                    "local": lambda g_, q: locatc_search(g_, idx, q),
+                    "baseline": lambda g_, q: structure_baseline(g_, q)[0]}
+        reports = {}
+        for algo, search in searches.items():
+            report = str(tmp_path / f"{algo}.tsv")
+            assert run(["eval", "--graph", prefix + ".edges",
+                        "--attrs", prefix + ".attrs", "--truth", prefix + ".truth",
+                        "--queries", prefix + ".queries", "--algo", algo,
+                        "--report", report]) == EXIT_OK
+            rows = [line.split("\t") for line in open(report).read().splitlines()[1:-1]]
+            reports[algo] = [r[3:7] + r[8:] for r in rows]
+            assert reports[algo] == [
+                [r.status, format_score(r.precision), format_score(r.recall),
+                 format_score(r.f1), str(r.found_size)]
+                for r in evaluate(g, gt, queries, search).rows]
+        assert len({str(rep) for rep in reports.values()}) == 4

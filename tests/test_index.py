@@ -88,7 +88,7 @@ class TestBuild:
         expect = g.m + g.n
         for w in range(len(g.attr_labels)):
             proj = project_on_attribute(g, w)
-            expect += proj.num_edges()
+            expect += proj.m
         assert idx.entry_count() == expect
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, UNREACHABLE, induced_subgraph
+from atc.greedy import CandidateTrace, replay_candidate
 from atc.index import build_index
 from atc.truss import (
     QUERY_NODE_PRUNED,
@@ -15,7 +16,6 @@ from atc.truss import (
     maintain_kd_truss,
     max_trussness_connecting,
     maximal_kd_truss,
-    replay_events,
     truss_decompose,
 )
 
@@ -206,7 +206,7 @@ class TestMaintain:
         events = []
         kd = maintain_kd_truss(base.copy(), [0], 3, 2, events=events)
         if kd.valid:
-            replayed = replay_events(base, events)
+            replayed = replay_candidate(CandidateTrace(base, [0, 0], [events], 0), 1)
             assert set(replayed.edges()) == set(kd.subgraph.edges())
             assert set(replayed.vertices) == set(kd.subgraph.vertices)
 
@@ -224,6 +224,30 @@ class TestMaintain:
         empty = induced_subgraph(g, [])
         assert not is_kd_truss(empty, [], 2, 0)
         assert not oracle_is_kd_truss({}, [], 2, 0)
+
+
+class TestIsKdTruss:
+    def test_disjoint_triangles(self):
+        # every edge has support 1 and no query distance is above d, but the
+        # second triangle is cut off from the query node
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        q = g.internal(0)
+        assert not is_kd_truss(g.copy(), [q], 3, 10**6)
+        assert is_kd_truss(induced_subgraph(g, [q, g.internal(1), g.internal(2)]),
+                           [q], 3, 10**6)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, seed):
+        """Random induced subgraphs, which may be disconnected or hold
+        isolated vertices, with 1-3 query nodes."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = rand_graph(rng, n, rng.uniform(0.3, 0.9))
+        h = induced_subgraph(g, rng.sample(range(n), rng.randint(1, n)))
+        qs = rng.sample(sorted(h.vertices), rng.randint(1, min(3, h.num_vertices())))
+        k, d = rng.randint(2, 5), rng.randint(0, 4)
+        assert is_kd_truss(h, qs, k, d) == oracle_is_kd_truss(adj_of(h), qs, k, d)
 
 
 class TestMaximalKdTruss:
