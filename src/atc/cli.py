@@ -226,17 +226,22 @@ def cmd_query(args) -> int:
     q = dataclasses.replace(
         q, query_nodes=frozenset(g.internal(v) for v in q.query_nodes),
         query_attrs=frozenset(g.attr_id(t) for t in labels))
-    if args.suggest_on_bad:
+    idx = None
+    if args.algo == "local":
+        idx = load_index(args.index, g) if args.index else build_index(g)
+    try:
+        res = SEARCHES[args.algo](g, idx, q)
+    except NoFeasibleCommunity:
+        res = None
+    # a result is a (k,d)-truss of g holding the query nodes, so it lies in
+    # the maximal one: only a failed or zero-score search can be a bad query
+    # (under --auto-kd the search picks a (k,d) that admits what it finds)
+    if args.suggest_on_bad and (res is None or (not res.score and q.query_attrs)):
         cls = classify_query(g, q)
         if cls.status == BAD:
             print(_result_json(g, None, "bad_query", cls.suggestions))
             return EXIT_EMPTY if args.fail_on_empty else EXIT_OK
-    try:
-        idx = None
-        if args.algo == "local":
-            idx = load_index(args.index, g) if args.index else build_index(g)
-        res = SEARCHES[args.algo](g, idx, q)
-    except NoFeasibleCommunity:
+    if res is None:
         print(_result_json(g, None, "infeasible"))
         return EXIT_EMPTY if args.fail_on_empty else EXIT_OK
     print(_result_json(g, res, "ok"))

@@ -65,7 +65,7 @@ class Graph(_View):
     in place, and `copy()` gives a mutable Subgraph to peel.
     """
 
-    def __init__(self, adjacency: list[list[int]], ext_ids: list[int]):
+    def __init__(self, adjacency: list[Iterable[int]], ext_ids: list[int]):
         self.adj = MappingProxyType(
             {v: tuple(sorted(ns)) for v, ns in enumerate(adjacency)})
         self.n = len(adjacency)
@@ -88,6 +88,7 @@ class Graph(_View):
         """Build from external-id edge pairs; dedups and drops self-loops."""
         ext_ids: list[int] = []
         ext_to_int: dict[int, int] = {}
+        nbrs: list[set[int]] = []  # dedups: one neighbour set per vertex
 
         def intern(x: int) -> int:
             i = ext_to_int.get(x)
@@ -95,30 +96,22 @@ class Graph(_View):
                 i = len(ext_ids)
                 ext_to_int[x] = i
                 ext_ids.append(x)
+                nbrs.append(set())
             return i
 
-        seen: set[tuple[int, int]] = set()
-        dup = loops = 0
-        pairs: list[tuple[int, int]] = []
+        pairs = loops = 0
         for a, b in edges:
             u, v = intern(a), intern(b)
             if u == v:
                 loops += 1
                 continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                dup += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
+            pairs += 1
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         for x in extra_vertices:
             intern(x)
-        adjacency: list[list[int]] = [[] for _ in range(len(ext_ids))]
-        for u, v in pairs:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        g = cls(adjacency, ext_ids)
-        g.dropped_duplicates = dup
+        g = cls(nbrs, ext_ids)
+        g.dropped_duplicates = pairs - g.m
         g.dropped_self_loops = loops
         return g
 

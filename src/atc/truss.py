@@ -1,9 +1,10 @@
 """Edge supports, truss decomposition, and (k,d)-truss maintenance.
 
 A k-truss is a subgraph where every edge closes at least k-2 triangles.
-One edge-peeling loop serves three jobs: decomposition, for the index, runs
-it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), the densest
-connecting truss once per level it tries, maintenance between rounds.
+One edge-peeling loop serves two jobs: decomposition, for the index, runs
+it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), and (k,d)-truss
+maintenance runs it between query-distance rounds.  The densest connecting
+truss is maintenance, once per level it tries.
 """
 from __future__ import annotations
 
@@ -184,8 +185,10 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
 
     `edge_tau` bounds each edge's trussness in h from above, as trussness in
     a graph containing h does: a k-truss of h is one there too (Huang et al.,
-    SIGMOD 2014).  So each level k, from the query nodes' bound down, peels
-    only the first query node's component of the edges bounded by >= k.
+    SIGMOD 2014).  So each level k, from the query nodes' bound down,
+    maintains only the first query node's component of the edges bounded by
+    >= k, as a (k, d)-truss with d its size: no distance in it exceeds that,
+    so the rounds drop exactly the vertices the query nodes cannot reach.
 
     Returns (k_max, subgraph).  For a single isolated query node, k_max is
     the vertex trussness 0 and the subgraph is the vertex alone.
@@ -208,13 +211,8 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
         if any(q not in adj for q in qs):
             continue  # peeling only removes edges
         comp = Subgraph(h.parent, adj, sum(len(s) for s in adj.values()) // 2)
-        sup = compute_supports(comp)
-        _peel_edges(comp, sup, k - 2,
-                    deque(e for e, s in sup.items() if s < k - 2), None)
-        dist = source_distances(comp.adj, qs[:1])
-        if comp.adj[qs[0]] and all(dist[q] != UNREACHABLE for q in qs):
-            return k, induced_subgraph(
-                comp, [v for v, dv in dist.items() if dv != UNREACHABLE])
+        if maintain_kd_truss(comp, qs, k, len(adj)).valid and comp.adj[qs[0]]:
+            return k, comp
     raise ValueError("query nodes are disconnected")
 
 

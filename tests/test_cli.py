@@ -1,13 +1,17 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import atc
+from atc import truss
 from atc.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, EXIT_USAGE, format_score, run
-from atc.graph import load_attributes, load_edge_list
+from atc.graph import Graph, load_attributes, load_edge_list
 from atc.greedy import basic_search, bulk_search
 from atc.harness import evaluate, read_queries, read_truth, structure_baseline
 from atc.index import VersionMismatchError, build_index, load_index
@@ -284,6 +288,88 @@ class TestQueryOutput:
         obj = json.loads(capsys.readouterr().out)
         assert obj["status"] == "bad_query"
         assert len(obj["suggestions"]) == 2
+
+
+def two_triangles(tmp_path, bridge=False):
+    """Triangles 0-1-2 (all labelled x) and 3-4-5 (all y), joined by the
+    edge 2-3 when `bridge`."""
+    gp, ap = tmp_path / "g", tmp_path / "a"
+    gp.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n" + ("2 3\n" if bridge else ""))
+    ap.write_text("0\tx\n1\tx\n2\tx\n3\ty\n4\ty\n5\ty\n")
+    return ["query", "--graph", str(gp), "--attr-file", str(ap)]
+
+
+def count_full_truss_builds(monkeypatch) -> list:
+    """Record each maximal_kd_truss call on a whole Graph, made through any
+    module's binding of it."""
+    calls = []
+    original = truss.maximal_kd_truss
+
+    def counted(g, *args, **kwargs):
+        if isinstance(g, Graph):
+            calls.append(g)
+        return original(g, *args, **kwargs)
+
+    for info in pkgutil.iter_modules(atc.__path__):
+        module = importlib.import_module(f"atc.{info.name}")
+        if getattr(module, "maximal_kd_truss", None) is original:
+            monkeypatch.setattr(module, "maximal_kd_truss", counted)
+    monkeypatch.setattr(atc, "maximal_kd_truss", counted)
+    return calls
+
+
+class TestSuggestOnBad:
+    """--suggest-on-bad classifies only a search that found nothing, or
+    found a community of score zero: any result lies in the maximal
+    (k,d)-truss, so a positive score proves the query good."""
+
+    @pytest.mark.parametrize("algo,builds", [("basic", 1), ("bulk", 1), ("local", 0)])
+    def test_good_query_builds_full_truss_at_most_once(self, synth, capsys,
+                                                       monkeypatch, algo, builds):
+        nodes, labels, _ = open(synth + ".queries").readline().split("\t")
+        argv = ["query", "--graph", synth + ".edges", "--attr-file", synth + ".attrs",
+                "--algo", algo, "--nodes", nodes, "--attrs", labels,
+                "--k", "3", "--d", "3"]
+        calls = count_full_truss_builds(monkeypatch)
+        assert run(argv + ["--suggest-on-bad"]) == EXIT_OK
+        with_flag = capsys.readouterr().out
+        assert json.loads(with_flag)["status"] == "ok"
+        assert len(calls) == builds
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == with_flag
+
+    @pytest.mark.parametrize("algo", ["basic", "bulk", "local"])
+    def test_zero_score_is_bad(self, tmp_path, capsys, algo):
+        # the only (3,2)-truss holding 0 and 1 is triangle 0-1-2: no y in it
+        argv = two_triangles(tmp_path) + ["--algo", algo, "--nodes", "0,1",
+                                          "--attrs", "y", "--k", "3", "--d", "2"]
+        assert run(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["score"] == "0.000000"
+        assert run(argv + ["--suggest-on-bad", "--fail-on-empty"]) == EXIT_EMPTY
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["status"] == "bad_query"
+        assert obj["suggestions"] == [{"attrs": [], "nodes": [0, 1]}]
+
+    def test_bad_query_reads_index_first(self, tmp_path, capsys):
+        """The search runs first, so a bad query given an unreadable index
+        is an input error, as a good one is."""
+        idx = tmp_path / "i.atidx"
+        idx.write_text("not an index\n")
+        assert run(two_triangles(tmp_path) + [
+            "--algo", "local", "--nodes", "0,3", "--attrs", "x,y", "--k", "3",
+            "--d", "2", "--index", str(idx), "--suggest-on-bad"]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    def test_auto_kd_community_is_kept(self, tmp_path, capsys):
+        """A community found under --auto-kd is printed: no (k,d) that the
+        query never set can make it a bad query."""
+        argv = two_triangles(tmp_path, bridge=True) + [
+            "--nodes", "0,3", "--attrs", "x,y", "--auto-kd"]
+        assert run(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert json.loads(plain)["status"] == "ok"
+        assert run(argv + ["--suggest-on-bad"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
 
 
 class TestDeterminism:
