@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -248,7 +249,17 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+# gen flag -> (least, greatest) value it takes
+GEN_RANGES = {"n": (1, math.inf), "communities": (1, math.inf),
+              "queries": (0, math.inf), "coverage": (0, 100), "p_background": (0, 1)}
+
+
 def cmd_gen(args) -> int:
+    for name, (lo, hi) in GEN_RANGES.items():
+        value = getattr(args, name)
+        if not lo <= value <= hi:  # NaN fails too
+            want = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise UsageError(f"--{name.replace('_', '-')} must be {want}, got {value}")
     g, gt = gen_synth(n=args.n, communities=args.communities,
                       p_background=args.p_background, seed=args.seed)
     plant_attributes(g, gt, coverage=args.coverage, rng_seed=args.seed)

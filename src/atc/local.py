@@ -172,33 +172,54 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
     covered query attributes, structural trussness, lowest id); all induced
     edges are added at the end.  The first two keys depend only on the set
     of query attributes a vertex covers, so the frontier is bucketed by that
-    set, each bucket a heap on the last two keys, and an insertion tests the
-    majority once per bucket.
+    set, each bucket a heap on the last two keys.
+
+    The covered sets are tried largest first, and the first size with a set
+    that passes the majority test gives the pick: its passing set with the
+    best top (a set whose top is no better is not tested).  When none
+    passes, the largest set with the best top wins.  A superset covers at
+    least as much, so the test is monotone in the set and an insertion
+    usually takes one test.
     """
     members = set(seed.vertices)
     bd = score_of_vertices(g, members, q.query_attrs)
+    squares = sum(c * c for c in bd.cover.values())
     qattrs = frozenset(q.query_attrs)
     buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
+    by_size: list[frozenset[int]] = []  # the keys of buckets, largest first
     reached = set(members)
 
     def reach_from(v):
         for u in g.adj[v]:
             if u not in reached:
                 reached.add(u)
-                heapq.heappush(buckets.setdefault(qattrs.intersection(g.attrs[u]), []),
-                               (-idx.structural_vertex(u), u))
+                cov = qattrs.intersection(g.attrs[u])
+                heap = buckets.get(cov)
+                if heap is None:
+                    heap = buckets[cov] = []
+                    by_size.append(cov)
+                    by_size.sort(key=len, reverse=True)
+                heapq.heappush(heap, (-idx.structural_vertex(u), u))
 
     for v in members:
         reach_from(v)
     while len(members) < q.eta and buckets:
-        cov = min(buckets, key=lambda c: (not majority_from_breakdown(c, bd),
-                                          -len(c), buckets[c][0]))
+        cov = None
+        for c in by_size:
+            if cov is not None and len(c) < len(cov):
+                break
+            if ((cov is None or buckets[c][0] < buckets[cov][0])
+                    and majority_from_breakdown(c, bd, squares)):
+                cov = c
+        if cov is None:
+            cov = min(by_size, key=lambda c: (-len(c), buckets[c][0]))
         heap = buckets[cov]
         _, v = heapq.heappop(heap)
         if not heap:
             del buckets[cov]
+            by_size.remove(cov)
         members.add(v)
-        bd.add_vertex(g, v)
+        squares += bd.add_vertex(g, v)
         reach_from(v)
     return induced_subgraph(g, members)
 

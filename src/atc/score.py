@@ -29,11 +29,16 @@ class ScoreBreakdown:
         num = sum(c * c for c in self.cover.values())
         return Fraction(num, self.size)
 
-    def add_vertex(self, g: Graph, v: int) -> None:
+    def add_vertex(self, g: Graph, v: int) -> int:
+        """Count v in; returns how much sum_w c_w^2 grows."""
         self.size += 1
+        grew = 0
         for w in g.attrs[v]:
-            if w in self.cover:
-                self.cover[w] += 1
+            c = self.cover.get(w)
+            if c is not None:
+                grew += 2 * c + 1  # (c + 1)^2 - c^2
+                self.cover[w] = c + 1
+        return grew
 
 
 def score_of_vertices(g: Graph, vertices: Iterable[int],
@@ -85,12 +90,15 @@ def gain_from_breakdown(g: Graph, batch: list[int],
     return squares * n - left * n * n // max(n - len(batch), 1)
 
 
-def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown) -> bool:
+def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown,
+                            squares: int) -> bool:
     """The majority test in integers: sum_w theta(H, w) >= f(H) / (2|V|) with
-    theta(H, w) = c_w / |V| and f(H) = sum_w c_w^2 / |V|, times 2|V|^2."""
+    theta(H, w) = c_w / |V| and f(H) = sum_w c_w^2 / |V|, times 2|V|^2.
+
+    `squares` is the breakdown's sum_w c_w^2, which the expansion keeps as a
+    running total rather than summing it for every test."""
     n = breakdown.size
     if n == 0:
         return False
-    cover = breakdown.cover
-    covered = sum(c for w, c in cover.items() if w in attr_set)
-    return 2 * n * covered >= sum(c * c for c in cover.values())
+    covered = sum(c for w, c in breakdown.cover.items() if w in attr_set)
+    return 2 * n * covered >= squares

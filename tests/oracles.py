@@ -237,7 +237,9 @@ def is_majority(h: Subgraph, attr_set, query_attrs) -> bool:
 
     True iff sum over w in W_q ∩ attr_set of theta(H, w) >= f(H, W_q) / (2|V(H)|).
     """
-    return majority_from_breakdown(set(attr_set), attribute_score(h, query_attrs))
+    bd = attribute_score(h, query_attrs)
+    squares = sum(c * c for c in bd.cover.values())
+    return majority_from_breakdown(set(attr_set), bd, squares)
 
 
 def brute_force_atc(g: Graph, q) -> SearchResult | None:

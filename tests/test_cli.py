@@ -215,6 +215,37 @@ class TestQueryFlags:
         assert "input error" in capsys.readouterr().err
 
 
+class TestGenFlags:
+    """gen flags out of range are a usage error (exit 1), caught before
+    anything is generated or written."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--communities", "0"], ["--communities", "-2"],
+        ["--queries", "-1"], ["--coverage", "-5"], ["--coverage", "101"],
+        ["--coverage", "150"], ["--p-background", "-1"],
+        ["--p-background", "2"], ["--p-background", "nan"]])
+    def test_out_of_range_usage(self, tmp_path, capsys, flags):
+        prefix = str(tmp_path / "bad")
+        assert run(["gen", "--n", "120", "--communities", "4", *flags,
+                    "--out-prefix", prefix]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("atc: usage error: --")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--queries", "0"], ["--coverage", "0"], ["--coverage", "100"],
+        ["--p-background", "0"]])
+    def test_range_ends_accepted(self, tmp_path, flags):
+        assert run(["gen", "--n", "120", "--communities", "4", *flags,
+                    "--out-prefix", str(tmp_path / "ok")]) == EXIT_OK
+
+    def test_graph_too_small_input_error(self, tmp_path, capsys):
+        assert run(["gen", "--n", "20", "--communities", "4",
+                    "--out-prefix", str(tmp_path / "small")]) == EXIT_INPUT
+        assert "too small" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEvalFiles:
     """A malformed .truth or .queries line is an input error (exit 2) in one
     line naming the file and line, raised before any query runs."""

@@ -249,6 +249,26 @@ class TestEquivalenceWithOracles:
                 got = expand_candidate(g, idx, seed, qe)
                 assert set(got.vertices) == oracle_expand(g, idx, vs, qe)
 
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=100, deadline=None)
+    def test_expansion_matches_oracle_on_larger_graphs(self, seed_int):
+        """Up to 60 vertices and 1-4 query attributes, so covered sets of one
+        size compete, and buckets empty and form again before the cap."""
+        rng = random.Random(seed_int)
+        n = rng.randint(20, 60)
+        g = rand_graph(rng, n, rng.choice([0.06, 0.1, 0.2]), n_attrs=4,
+                       attr_p=rng.choice([0.2, 0.4, 0.6]))
+        idx = build_index(g)
+        attrs = rng.sample(range(len(g.attr_labels)),
+                           rng.randint(1, min(4, len(g.attr_labels))))
+        vs = frozenset(rng.sample(range(g.n), rng.randint(1, 4)))
+        q = QuerySpec(vs, frozenset(attrs))
+        seed = SteinerSeed(vs, (), Fraction(0))
+        for eta in sorted(rng.sample(range(len(vs), g.n + 1), 5)):
+            qe = dataclasses.replace(q, eta=eta)
+            got = expand_candidate(g, idx, seed, qe)
+            assert set(got.vertices) == oracle_expand(g, idx, vs, qe)
+
 
 class TestExpansionWork:
     def test_majority_tests_per_bucket_not_per_frontier_vertex(self, monkeypatch):
@@ -270,6 +290,24 @@ class TestExpansionWork:
         covs = {q.query_attrs.intersection(g.attrs[g.internal(v)]) for v in leaves}
         assert insertions == 399 and len(covs) == 4
         assert len(calls) <= (insertions + 1) * len(covs)
+
+    def test_one_majority_test_per_insertion_when_all_cover(self, monkeypatch):
+        """Every frontier vertex covers all query attributes: the one covered
+        set always passes, so each insertion takes exactly one test."""
+        g, _ = gen_synth(n=150, communities=5, seed=2)
+        rng = random.Random(2)
+        g.attach_attributes({v: ["a", "b"] + (["c"] if rng.random() < 0.5 else [])
+                             for v in g.ext_ids})
+        idx = build_index(g)
+        q = spec(g, [0], ["a", "b"], eta=100)
+        seed = steiner_seed(g, idx, q)
+        calls = []
+        majority = atc.local.majority_from_breakdown
+        monkeypatch.setattr(atc.local, "majority_from_breakdown",
+                            lambda *a: calls.append(1) or majority(*a))
+        gt = expand_candidate(g, idx, seed, q)
+        insertions = gt.num_vertices() - len(seed.vertices)
+        assert insertions == 99 and len(calls) == insertions
 
 
 class TestUnknownAttribute:

@@ -215,7 +215,9 @@ class TestMajorityAndMonotonicity:
     def test_integer_majority_matches_fraction_formula(self, size, counts, attr_set):
         cover = {w: min(c, size) for w, c in enumerate(counts)}
         bd = ScoreBreakdown(size, cover)
-        assert majority_from_breakdown(attr_set, bd) == oracle_majority(attr_set, size, cover)
+        squares = sum(c * c for c in cover.values())
+        assert (majority_from_breakdown(attr_set, bd, squares)
+                == oracle_majority(attr_set, size, cover))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
