@@ -4,7 +4,9 @@ A k-truss is a subgraph where every edge closes at least k-2 triangles.
 One edge-peeling loop serves two jobs: decomposition, for the index, runs
 it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), and (k,d)-truss
 maintenance runs it between query-distance rounds.  The densest connecting
-truss is maintenance, once per level it tries.
+truss is maintenance, once per level it tries.  The maximal (k,d)-truss
+around the query nodes is maintenance too, started from only the query
+nodes' triangle-supported part of the d-ball.
 """
 from __future__ import annotations
 
@@ -103,21 +105,24 @@ def _query_verdict(h: Graph | Subgraph, qs: list[int], d: int):
     return dist, None
 
 
-def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int, pending: list,
-                 events: Optional[list]) -> None:
+def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int,
+                 pending: Optional[list], events: Optional[list]) -> None:
     """Delete v from h and its edges from `sup`; each pair of still-adjacent
     former neighbours loses triangle v and is queued when it drops below thr.
+    With `pending` None no pair is touched: the caller is dropping v's whole
+    component, so every such pair goes too.
     """
     ns = sorted(h.adj[v])
     for u in ns:
         del sup[edge_key(u, v)]
-    for i, a in enumerate(ns):
-        for b in ns[i + 1:]:
-            e = (a, b)
-            if e in sup:
-                sup[e] -= 1
-                if sup[e] < thr:
-                    pending.append(e)
+    if pending is not None:
+        for i, a in enumerate(ns):
+            for b in ns[i + 1:]:
+                e = (a, b)
+                if e in sup:
+                    sup[e] -= 1
+                    if sup[e] < thr:
+                        pending.append(e)
     h.remove_vertex(v)
     if events is not None:
         events.append(("v", v))
@@ -164,18 +169,71 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
         if not far:
             return KdTruss(h, True, sup=sup)
         for v in far:
-            _drop_vertex(h, sup, v, thr, pending, events)
+            # an unreachable vertex is in another component, all of it in far
+            _drop_vertex(h, sup, v, thr,
+                         pending if dist[v] != UNREACHABLE else None, events)
 
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
                      d: int) -> KdTruss:
     """Maximal (k,d)-truss of the d-ball around the query nodes.  g is only
-    read; sets are built for the d-ball alone."""
+    read.
+
+    Every edge of the ball's maximal k-truss closes at least k-2 triangles
+    inside the ball (the first test; Huang et al., SIGMOD 2014), and in k-2
+    of them both other edges pass the first test too (the second).  So the
+    result lies in the query nodes' components of the edges that pass both
+    tests.  A walk from all query nodes at once finds them, sets are built
+    only for the vertices and edges it tests, and maintenance starts from
+    the subgraph the reached vertices induce.  The rest of the ball would
+    be peeled, or dropped as unreachable in the first distance round,
+    without changing the query nodes' components, so the result, its
+    supports and the reason a query fails are the whole ball's.
+
+    The second test stops the walk at a bridge into another dense region
+    whose triangles lean on edges the first peel removes.  An edge with at
+    least 2(k-2) triangles skips it: it could fail only if k-1 of them had
+    a failing side, and in a dense region the test would count most edges'
+    supports twice.
+    """
     qs = sorted(set(query_nodes))
     dist, reason = _query_verdict(g, qs, d)
     if reason is not None:
         return KdTruss(None, False, reason)
-    h = induced_subgraph(g, [v for v, dv in dist.items() if dv <= d])
+    ball = {v for v, dv in dist.items() if dv <= d}
+    nb: dict[int, set[int]] = {}  # touched vertex -> its neighbours in the ball
+    tri: dict[tuple[int, int], int] = {}  # touched edge -> its support in the ball
+
+    def ball_adj(u):
+        if u not in nb:
+            nb[u] = ball.intersection(g.adj[u])
+        return nb[u]
+
+    def support(u, v):
+        e = edge_key(u, v)
+        if e not in tri:
+            tri[e] = len(ball_adj(u) & ball_adj(v))
+        return tri[e]
+
+    def passes(u, v):
+        s = support(u, v)
+        if s < k - 2 or s >= 2 * (k - 2):
+            return s >= k - 2
+        return sum(1 for w in ball_adj(u) & ball_adj(v)
+                   if support(u, w) >= k - 2 and support(v, w) >= k - 2) >= k - 2
+
+    reach = list(qs)  # grows while walked
+    seen = set(qs)
+    for u in reach:
+        for v in ball_adj(u):
+            if v not in seen and passes(u, v):
+                seen.add(v)
+                reach.append(v)
+    adj = {u: nb[u] for u in reach}
+    if len(seen) < len(ball):  # else every ball neighbour was reached
+        for nu in adj.values():
+            nu &= seen
+    h = Subgraph(g.parent, adj, sum(map(len, adj.values())) // 2)
     return maintain_kd_truss(h, qs, k, d)
 
 

@@ -167,18 +167,22 @@ def oracle_maintain(adj: dict[int, set[int]], query_nodes, k: int, d: int):
             return adj, True, None
 
 
-def oracle_maximal_reason(adj: dict[int, set[int]], query_nodes, k: int, d: int):
-    """Why maximal_kd_truss finds nothing, or None: it rules on the query
+def oracle_maximal(adj: dict[int, set[int]], query_nodes, k: int, d: int):
+    """maximal_kd_truss from the whole d-ball: it rules on the query
     distances of the whole graph first, then runs the fixpoint on the d-ball,
-    so a query pair too far apart is pruned even if peeling would cut it."""
+    so a query pair too far apart is pruned even if peeling would cut it.
+
+    Returns (adjacency, valid, reason) mirroring oracle_maintain; the
+    adjacency is None when the whole graph already rules the query out.
+    """
     qs = sorted(set(query_nodes))
     dist = oracle_query_distance(adj, qs)
     if any(dist[q] == UNREACHABLE for q in qs):
-        return "query_nodes_disconnected"
+        return None, False, "query_nodes_disconnected"
     if any(dist[q] > d for q in qs):
-        return "query_node_pruned"
+        return None, False, "query_node_pruned"
     ball = {v for v, dv in dist.items() if dv <= d}
-    return oracle_maintain({v: adj[v] & ball for v in ball}, qs, k, d)[2]
+    return oracle_maintain({v: adj[v] & ball for v in ball}, qs, k, d)
 
 
 def oracle_is_kd_truss(adj: dict[int, set[int]], query_nodes, k: int, d: int) -> bool:

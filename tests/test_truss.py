@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, UNREACHABLE, induced_subgraph
+from atc import truss
+from atc.graph import Graph, UNREACHABLE, induced_subgraph, query_distance
 from atc.greedy import CandidateTrace, replay_candidate
+from atc.harness import gen_queries, gen_synth
 from atc.index import build_index
 from atc.truss import (
     QUERY_NODE_PRUNED,
@@ -25,7 +27,7 @@ from oracles import (
     oracle_is_kd_truss,
     oracle_maintain,
     oracle_max_trussness_connecting,
-    oracle_maximal_reason,
+    oracle_maximal,
     oracle_supports,
     oracle_truss,
     rand_graph,
@@ -168,7 +170,7 @@ class TestMaintain:
             assert set(mk.subgraph.edges()) == mine
             assert set(mk.subgraph.vertices) == set(oadj)
         else:
-            assert mk.reason == oracle_maximal_reason(adj_of(g), qs, k, d)
+            assert mk.reason == oracle_maximal(adj_of(g), qs, k, d)[2]
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=80, deadline=None)
@@ -256,6 +258,95 @@ class TestMaximalKdTruss:
         kd = maximal_kd_truss(g, [g.internal(0)], 2, 10)
         assert kd.valid
         assert set(kd.subgraph.vertices) == {g.internal(i) for i in (0, 1, 2)}
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_ball_oracle(self, seed):
+        """The walk leaves part of the d-ball out, and the result, its
+        reason and its supports are still the whole ball's.
+
+        Each graph has one or two dense blocks; a chain of cliques, each
+        sharing a vertex with the next, whose ends a plain edge may join, so
+        a triangle-supported path between them can leave the d-ball; a
+        sparse background; and isolated vertices.  The query nodes are the
+        chain's ends, or one node per block, or any one to three nodes."""
+        rng = random.Random(seed)
+        k, d = rng.randint(2, 6), rng.randint(0, 5)
+        n = rng.randint(6, 20)
+        blocks = [rng.sample(range(n), rng.randint(3, min(n, 8)))
+                  for _ in range(rng.randint(1, 2))]
+        edges = set()
+        for block in blocks:
+            p = rng.uniform(0.6, 1.0)
+            edges.update(e for e in itertools.combinations(sorted(block), 2)
+                         if rng.random() < p)
+        ends = [n]
+        for _ in range(rng.randint(2, 5)):
+            link = range(ends[-1], ends[-1] + max(k, 3))
+            edges.update(itertools.combinations(link, 2))
+            ends.append(link[-1])
+        if rng.random() < 0.7:
+            edges.add((ends[0], ends[-1]))
+        n = ends[-1] + 1
+        p = rng.uniform(0, 0.1)
+        edges.update(e for e in itertools.combinations(range(n), 2)
+                     if rng.random() < p)
+        g = Graph.from_edges(sorted(edges),
+                             extra_vertices=range(n + rng.randint(0, 3)))
+        extra = rng.sample(range(g.n), rng.randint(0, 1))
+        qs = rng.choice(([ends[0], ends[-1], *extra],
+                         [*(rng.choice(b) for b in blocks), *extra],
+                         rng.sample(range(g.n), rng.randint(1, 3))))
+        qs = {g.internal(x) for x in qs}
+        kd = maximal_kd_truss(g, qs, k, d)
+        oadj, ovalid, oreason = oracle_maximal(adj_of(g), qs, k, d)
+        assert (kd.valid, kd.reason) == (ovalid, oreason)
+        if kd.valid:
+            assert kd.subgraph.adj == oadj
+            assert kd.subgraph.m == sum(map(len, oadj.values())) // 2
+            assert kd.sup == compute_supports(kd.subgraph)
+
+    def test_peels_only_the_query_neighbourhood(self, monkeypatch):
+        """On planted communities at d = 4 the d-ball is nearly the whole
+        graph, yet maintenance starts from a subgraph about the size of the
+        query's community."""
+        g, gt = gen_synth(n=1000, communities=20, seed=3)
+        received = []
+        maintain = truss.maintain_kd_truss
+
+        def record(h, *args, **kwargs):
+            received.append(h.num_vertices())
+            return maintain(h, *args, **kwargs)
+
+        monkeypatch.setattr(truss, "maintain_kd_truss", record)
+        for gq in gen_queries(g, gt, 20, rng_seed=3):
+            qs = [g.internal(x) for x in gq.nodes]
+            ball = sum(dv <= 4 for dv in query_distance(g, qs)[0].values())
+            received.clear()
+            assert maximal_kd_truss(g, qs, 4, 4).valid
+            assert ball >= 990 and received and max(received) <= 50
+
+    def test_walk_stops_at_a_bridge(self, monkeypatch):
+        """Vertex 10 of another clique closes two triangles with the query's
+        clique, one of them through vertex 20 outside both.  Neither triangle
+        has both other edges in two triangles, so the first peel removes the
+        bridge and the walk does not cross it."""
+        g = Graph.from_edges([*itertools.combinations(range(6), 2),
+                              *itertools.combinations(range(10, 18), 2),
+                              (1, 10), (2, 10), (1, 20), (10, 20)])
+        received = []
+        maintain = truss.maintain_kd_truss
+
+        def record(h, *args, **kwargs):
+            received.append(set(h.vertices))
+            return maintain(h, *args, **kwargs)
+
+        monkeypatch.setattr(truss, "maintain_kd_truss", record)
+        qs = [g.internal(0)]
+        kd = maximal_kd_truss(g, qs, 4, 4)
+        clique_a = {g.internal(x) for x in range(6)}
+        assert received == [clique_a]
+        assert kd.valid and kd.subgraph.adj == oracle_maximal(adj_of(g), qs, 4, 4)[0]
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
