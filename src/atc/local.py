@@ -78,7 +78,6 @@ def _dijkstra(g: Graph, source: int, weight, targets) -> tuple[dict, dict]:
 class SteinerSeed:
     vertices: frozenset[int]
     edges: tuple
-    weight: Fraction
 
 
 def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
@@ -94,7 +93,7 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
         g.vertices_with(w)  # raises UnknownAttributeError
     terminals = sorted(q.query_nodes)
     if len(terminals) == 1:
-        return SteinerSeed(frozenset(terminals), (), Fraction(0))
+        return SteinerSeed(frozenset(terminals), ())
     gamma = Fraction(q.gamma)
     attrs = sorted(q.query_attrs)
     wcache: dict[tuple[int, int], int] = {}
@@ -140,8 +139,7 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
                     adj[u].discard(v)
                 changed = True
     final = {edge_key(u, v) for u, ns in adj.items() for v in ns}
-    total = Fraction(sum(weight(u, v) for u, v in final), gamma.denominator)
-    return SteinerSeed(frozenset(adj.keys()) | term, tuple(sorted(final)), total)
+    return SteinerSeed(frozenset(adj.keys()) | term, tuple(sorted(final)))
 
 
 def _kruskal(ordered_edges):
@@ -166,7 +164,9 @@ def _kruskal(ordered_edges):
 
 def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
                      q: QuerySpec) -> Subgraph:
-    """Grow the seed one vertex at a time, up to eta members.
+    """Grow the seed one vertex at a time, up to eta members, crossing only
+    edges of trussness >= k in G, as every edge of the answer has (Huang et
+    al., SIGMOD 2014); under k_d_auto, k is chosen later, so all are crossed.
 
     Frontier vertices are ranked by (passes the majority test, number of
     covered query attributes, structural trussness, lowest id); all induced
@@ -191,7 +191,7 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
 
     def reach_from(v):
         for u in g.adj[v]:
-            if u not in reached:
+            if u not in reached and (q.k_d_auto or idx.structural_edge(v, u) >= q.k):
                 reached.add(u)
                 cov = qattrs.intersection(g.attrs[u])
                 heap = buckets.get(cov)

@@ -416,6 +416,22 @@ def rand_graph(rng, n, p, n_attrs=0, attr_p=0.4) -> Graph:
     """Random attributed graph on external ids 0..n-1."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
+    return _with_attrs(rng, edges, n, n_attrs, attr_p)
+
+
+def block_graph(rng, blocks, size, p_in, p_out, n_attrs=0, attr_p=0.4) -> Graph:
+    """Dense random blocks in a sparse random background, on external ids
+    0..blocks*size-1: vertices u and v share block u // size, and a pair is
+    an edge with probability p_in inside a block and p_out across."""
+    n = blocks * size
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < (p_in if u // size == v // size else p_out)]
+    return _with_attrs(rng, edges, n, n_attrs, attr_p)
+
+
+def _with_attrs(rng, edges, n, n_attrs, attr_p) -> Graph:
+    """The graph on edges and ids 0..n-1, each vertex holding each of
+    n_attrs labels with probability attr_p."""
     g = Graph.from_edges(edges, extra_vertices=range(n))
     if n_attrs:
         labels = [f"w{i}" for i in range(n_attrs)]
@@ -436,12 +452,24 @@ def oracle_majority(attr_set, size, cover) -> bool:
     return theta_sum >= score / (2 * size)
 
 
-def oracle_expand(g: Graph, idx, seed_vertices, q) -> set[int]:
+def oracle_expand(g: Graph, idx, seed_vertices, q, floor=None) -> set[int]:
     """Members after majority-guided expansion, rescanning the whole frontier
-    with Fraction majority tests at every insertion."""
+    with Fraction majority tests at every insertion.
+
+    A vertex joins the frontier across an edge of index trussness >= floor.
+    By default that is the search's rule: q.k, or every edge under
+    k_d_auto; floor=0 expands unpruned.
+    """
+    if floor is None:
+        floor = 0 if q.k_d_auto else q.k
+
+    def strong(v):
+        return {u for u in g.adj[v] if u not in members
+                and idx.edge_truss[(min(u, v), max(u, v))] >= floor}
+
     members = set(seed_vertices)
     cover = {w: sum(1 for v in members if w in g.attrs[v]) for w in q.query_attrs}
-    frontier = {u for v in members for u in g.adj[v] if u not in members}
+    frontier = set().union(*map(strong, members))
 
     def key(v):
         cov = set(q.query_attrs) & set(g.attrs[v])
@@ -455,7 +483,7 @@ def oracle_expand(g: Graph, idx, seed_vertices, q) -> set[int]:
         for w in g.attrs[v]:
             if w in cover:
                 cover[w] += 1
-        frontier.update(u for u in g.adj[v] if u not in members)
+        frontier.update(strong(v))
     return members
 
 
@@ -469,13 +497,13 @@ def oracle_truss_distance(idx, e, query_attrs, gamma) -> Fraction:
 
 
 def oracle_steiner_seed(g: Graph, idx, q):
-    """(vertices, edges, weight) of the Steiner seed: a whole-graph Fraction
+    """(vertices, edges) of the Steiner seed: a whole-graph Fraction
     Dijkstra from every terminal, Kruskal on the metric closure, the union of
     the closure paths, its spanning tree, then non-terminal leaves pruned.
     None when two terminals are disconnected."""
     terminals = sorted(q.query_nodes)
     if len(terminals) == 1:
-        return frozenset(terminals), (), Fraction(0)
+        return frozenset(terminals), ()
 
     def weight(u, v):
         return oracle_truss_distance(idx, (min(u, v), max(u, v)), q.query_attrs, q.gamma)
@@ -539,8 +567,7 @@ def oracle_steiner_seed(g: Graph, idx, q):
                     tree[u].discard(v)
                 changed = True
     edges = tuple(sorted({(min(u, v), max(u, v)) for u in tree for v in tree[u]}))
-    total = sum((weight(u, v) for u, v in edges), Fraction(0))
-    return frozenset(tree) | frozenset(terminals), edges, total
+    return frozenset(tree) | frozenset(terminals), edges
 
 
 def attribute_truss_distance(idx, e, query_attrs, gamma) -> Fraction:
@@ -552,6 +579,12 @@ def attribute_truss_distance(idx, e, query_attrs, gamma) -> Fraction:
         tau = idx.attribute_edge(w, u, v)
         shortfall += idx.tau_max - (2 if tau == NOT_IN_PROJECTION else tau)
     return 1 + gamma * shortfall
+
+
+def steiner_weight(idx, seed, q) -> Fraction:
+    """Total attribute truss distance over a Steiner seed's edges."""
+    return sum((attribute_truss_distance(idx, e, q.query_attrs, q.gamma)
+                for e in seed.edges), Fraction(0))
 
 
 def iteration_bound(n: int, k: int, epsilon: Fraction) -> int:

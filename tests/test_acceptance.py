@@ -49,6 +49,7 @@ from oracles import (
     rand_graph,
     result_adj,
     score_contribution,
+    steiner_weight,
 )
 
 
@@ -252,7 +253,7 @@ def test_criterion_07_steiner_two_approx():
         if opt is None:
             continue
         tree = steiner_seed(g, idx, q)
-        assert tree.weight <= 2 * opt
+        assert steiner_weight(idx, tree, q) <= 2 * opt
         checked += 1
     print("criterion 7 PASS: 200 Steiner seeds within 2x optimum")
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from atc.graph import Graph, QuerySpec, UNREACHABLE, UnknownAttributeError
 from atc.greedy import NoFeasibleCommunity, basic_search, bulk_search
-from atc.harness import gen_synth, plant_attributes
+from atc.harness import gen_queries, gen_synth, plant_attributes
 import atc.local
 from atc.index import build_index, graph_digest
 from atc.local import (
@@ -21,17 +21,19 @@ from atc.local import (
     locatc_search,
     steiner_seed,
 )
-from atc.truss import edge_key, truss_decompose
-from atc.graph import project_on_attribute
+from atc.truss import edge_key, max_trussness_connecting, truss_decompose
+from atc.graph import induced_subgraph, project_on_attribute
 
 from oracles import (
     attribute_truss_distance,
+    block_graph,
     oracle_expand,
     oracle_is_kd_truss,
     oracle_steiner_opt,
     oracle_steiner_seed,
     rand_graph,
     result_adj,
+    steiner_weight,
 )
 
 
@@ -93,9 +95,10 @@ class TestSteinerSeed:
     def test_single_terminal(self):
         g = rand_graph(random.Random(2), 8, 0.4, n_attrs=1)
         idx = build_index(g)
-        seed = steiner_seed(g, idx, QuerySpec(query_nodes=frozenset({3})))
+        q = QuerySpec(query_nodes=frozenset({3}))
+        seed = steiner_seed(g, idx, q)
         assert seed.vertices == frozenset({3})
-        assert seed.weight == 0 and seed.edges == ()
+        assert seed.edges == () and steiner_weight(idx, seed, q) == 0
 
     def test_pair_is_weighted_shortest_path(self):
         g = two_attr_cliques()
@@ -114,7 +117,8 @@ class TestSteinerSeed:
             return attribute_truss_distance(idx, edge_key(u, v), wq, q.gamma)
 
         opt = oracle_steiner_opt(g, weight, list(q.query_nodes))
-        assert seed.weight == opt  # a 2-terminal Steiner tree is a shortest path
+        # a 2-terminal Steiner tree is a shortest path
+        assert steiner_weight(idx, seed, q) == opt
 
     def test_disconnected_terminals(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
@@ -150,7 +154,7 @@ class TestSteinerSeed:
                     steiner_seed(g, idx, q)
             return
         tree = steiner_seed(g, idx, q)
-        assert tree.weight <= 2 * opt
+        assert steiner_weight(idx, tree, q) <= 2 * opt
         assert set(terms) <= set(tree.vertices)
         # acyclic and connected: |E| = |V| - 1
         assert len(tree.edges) == len(tree.vertices) - 1
@@ -203,12 +207,14 @@ class TestExpandCandidate:
 
 
 def random_query(rng, g):
-    """1-4 terminals, 0-3 query attributes, gamma in {0, 1/5, 3/5}."""
+    """1-4 terminals, 0-3 query attributes, gamma in {0, 1/5, 3/5}, k in
+    2..4, and k_d_auto one time in four."""
     terms = rng.sample(range(g.n), rng.randint(1, min(4, g.n)))
     labels = range(len(g.attr_labels))
     attrs = rng.sample(labels, min(len(labels), rng.randint(0, 3)))
     gamma = rng.choice([Fraction(0), Fraction(1, 5), Fraction(3, 5)])
-    return QuerySpec(frozenset(terms), frozenset(attrs), gamma=gamma)
+    return QuerySpec(frozenset(terms), frozenset(attrs), gamma=gamma,
+                     k=rng.randint(2, 4), k_d_auto=rng.random() < 0.25)
 
 
 class TestEquivalenceWithOracles:
@@ -243,7 +249,7 @@ class TestEquivalenceWithOracles:
         except NoFeasibleCommunity:
             pass
         for vs in seeds:
-            seed = SteinerSeed(vs, (), Fraction(0))
+            seed = SteinerSeed(vs, ())
             for eta in range(len(vs), g.n + 1):
                 qe = dataclasses.replace(q, eta=eta)
                 got = expand_candidate(g, idx, seed, qe)
@@ -262,8 +268,9 @@ class TestEquivalenceWithOracles:
         attrs = rng.sample(range(len(g.attr_labels)),
                            rng.randint(1, min(4, len(g.attr_labels))))
         vs = frozenset(rng.sample(range(g.n), rng.randint(1, 4)))
-        q = QuerySpec(vs, frozenset(attrs))
-        seed = SteinerSeed(vs, (), Fraction(0))
+        q = QuerySpec(vs, frozenset(attrs), k=rng.randint(2, 4),
+                      k_d_auto=rng.random() < 0.25)
+        seed = SteinerSeed(vs, ())
         for eta in sorted(rng.sample(range(len(vs), g.n + 1), 5)):
             qe = dataclasses.replace(q, eta=eta)
             got = expand_candidate(g, idx, seed, qe)
@@ -279,7 +286,7 @@ class TestExpansionWork:
         g.attach_attributes({v: [lab for lab, m in (("a", 2), ("b", 3), ("c", 5))
                                  if v % m == 0] for v in leaves})
         idx = build_index(g)
-        q = spec(g, [0], ["a", "b"], eta=400)
+        q = spec(g, [0], ["a", "b"], eta=400, k=2)
         seed = steiner_seed(g, idx, q)
         calls = []
         majority = atc.local.majority_from_breakdown
@@ -299,7 +306,7 @@ class TestExpansionWork:
         g.attach_attributes({v: ["a", "b"] + (["c"] if rng.random() < 0.5 else [])
                              for v in g.ext_ids})
         idx = build_index(g)
-        q = spec(g, [0], ["a", "b"], eta=100)
+        q = spec(g, [0], ["a", "b"], eta=100, k=2)
         seed = steiner_seed(g, idx, q)
         calls = []
         majority = atc.local.majority_from_breakdown
@@ -308,6 +315,111 @@ class TestExpansionWork:
         gt = expand_candidate(g, idx, seed, q)
         insertions = gt.num_vertices() - len(seed.vertices)
         assert insertions == 99 and len(calls) == insertions
+
+
+def unpruned_local(g, idx, q):
+    """locatc_search with the expansion crossing every edge: the oracle
+    expansion at floor 0, then the densest connecting truss and the peel."""
+    if not q.query_attrs:
+        q = dataclasses.replace(q, query_attrs=autocomplete_attrs(g, q.query_nodes))
+    seed = steiner_seed(g, idx, q)
+    gt = induced_subgraph(g, oracle_expand(g, idx, seed.vertices, q, floor=0))
+    _, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
+    return bulk_search(gt, q)[0]
+
+
+def outcome(search):
+    """The fields a search result is compared on, or None when infeasible."""
+    try:
+        res = search()
+    except NoFeasibleCommunity:
+        return None
+    return res.vertices, res.edges, res.score, res.k, res.d, res.iterations
+
+
+def random_block_graph(rng):
+    """2-5 dense blocks of 4-8 vertices in a sparse background, three labels;
+    returns the graph and the block size."""
+    size = rng.randint(4, 8)
+    g = block_graph(rng, rng.randint(2, 5), size, p_in=rng.choice([0.6, 0.8, 1.0]),
+                    p_out=rng.choice([0.03, 0.06, 0.12]), n_attrs=3)
+    return g, size
+
+
+def random_block_query(rng, g, size, **kw):
+    """1-3 query nodes, from one block two times in three, and 0-2 labels."""
+    if rng.random() < 2 / 3:
+        block = rng.randrange(g.n // size)
+        pool = range(block * size, (block + 1) * size)
+    else:
+        pool = range(g.n)
+    nodes = rng.sample(pool, rng.randint(1, 3))
+    labels = rng.sample(range(len(g.attr_labels)),
+                        min(len(g.attr_labels), rng.randint(0, 2)))
+    return QuerySpec(frozenset(g.internal(v) for v in nodes),
+                     frozenset(labels), **kw)
+
+
+def strong_reach(g, idx, start, k, within=None):
+    """The vertices reached from start across edges of index trussness >= k,
+    inside `within` when given."""
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        v = stack.pop()
+        for u in g.adj[v]:
+            if (u not in seen and idx.edge_truss[edge_key(u, v)] >= k
+                    and (within is None or u in within)):
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+class TestFrontierPruning:
+    """With explicit k, the expansion crosses only edges of index trussness
+    >= k, and while eta does not bind the search returns what the unpruned
+    expansion gives."""
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_unpruned_pipeline(self, seed_int):
+        rng = random.Random(seed_int)
+        g, size = random_block_graph(rng)
+        idx = build_index(g)
+        q = random_block_query(rng, g, size, k=rng.randint(2, 6),
+                               d=rng.randint(0, 5), eta=rng.choice([g.n, 1000]))
+        got = outcome(lambda: locatc_search(g, idx, q))
+        assert got == outcome(lambda: unpruned_local(g, idx, q))
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=100, deadline=None)
+    def test_members_joined_across_strong_edges(self, seed_int):
+        """Every member outside the seed joins across an edge of trussness
+        >= k from the seed's side, and up to eta the members are exactly the
+        vertices reached that way."""
+        rng = random.Random(seed_int)
+        g, size = random_block_graph(rng)
+        idx = build_index(g)
+        k = rng.randint(2, 6)
+        q = random_block_query(rng, g, size, k=k, eta=rng.randint(3, g.n))
+        seed = SteinerSeed(q.query_nodes, ())
+        got = set(expand_candidate(g, idx, seed, q).vertices)
+        assert strong_reach(g, idx, seed.vertices, k, within=got) == got
+        reach = strong_reach(g, idx, seed.vertices, k)
+        assert (got == reach) if len(reach) <= q.eta else (len(got) == q.eta)
+
+    def test_planted_candidates_stay_near_their_community(self):
+        """On a 1000-vertex planted graph at the default (4, 4), the
+        expansion stops near the query's clique instead of flooding G."""
+        g, gt = gen_synth(n=1000, communities=20, seed=3)
+        plant_attributes(g, gt, rng_seed=3)
+        idx = build_index(g)
+        sizes = []
+        for gq in gen_queries(g, gt, 20, rng_seed=3):
+            q = spec(g, gq.nodes, gq.attrs)
+            seed = steiner_seed(g, idx, q)
+            sizes.append(expand_candidate(g, idx, seed, q).num_vertices())
+        assert max(sizes) <= 50, sizes
 
 
 class TestUnknownAttribute:
