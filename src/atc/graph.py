@@ -77,8 +77,6 @@ class Graph(_View):
         self.label_to_id: dict[str, int] = {}
         self.attrs: list[tuple[int, ...]] = [() for _ in range(self.n)]
         self.postings: list[list[int]] = []
-        self.dropped_duplicates = 0
-        self.dropped_self_loops = 0
 
     # -- construction ------------------------------------------------------
 
@@ -99,21 +97,14 @@ class Graph(_View):
                 nbrs.append(set())
             return i
 
-        pairs = loops = 0
         for a, b in edges:
             u, v = intern(a), intern(b)
-            if u == v:
-                loops += 1
-                continue
-            pairs += 1
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            if u != v:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
         for x in extra_vertices:
             intern(x)
-        g = cls(nbrs, ext_ids)
-        g.dropped_duplicates = pairs - g.m
-        g.dropped_self_loops = loops
-        return g
+        return cls(nbrs, ext_ids)
 
     def attach_attributes(self, table: dict[int, Iterable[str]]) -> None:
         """Attach attribute labels keyed by external vertex id."""
@@ -246,6 +237,14 @@ class QuerySpec:
             raise ValueError("gamma must be >= 0")
         if self.eta < 1:
             raise ValueError("eta must be >= 1")
+
+    def check_ids(self, g: Graph | Subgraph) -> None:
+        """Raise UnknownVertexError or UnknownAttributeError for ids not in g.parent."""
+        for v in sorted(self.query_nodes):
+            if not g.parent.has_vertex(v):
+                raise UnknownVertexError(v)
+        for w in sorted(self.query_attrs):
+            g.parent.vertices_with(w)
 
 
 class Subgraph(_View):

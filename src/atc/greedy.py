@@ -93,8 +93,7 @@ def _finish(trace: CandidateTrace, q: QuerySpec, algo: str, iterations: int,
 
 
 def _initial_truss(g: Graph | Subgraph, q: QuerySpec) -> KdTruss:
-    for w in q.query_attrs:
-        g.parent.vertices_with(w)  # raises UnknownAttributeError
+    q.check_ids(g)
     kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)

@@ -25,7 +25,8 @@ from .graph import (
 from .greedy import NoFeasibleCommunity, SearchResult, bulk_search
 from .index import ATIndex, NOT_IN_PROJECTION
 from .score import majority_from_breakdown, score_of_vertices
-from .truss import edge_key, max_trussness_connecting, maximal_kd_truss
+from .truss import (QUERY_NODES_DISCONNECTED, edge_key, max_trussness_connecting,
+                    maximal_kd_truss)
 
 # minimum possible trussness, used for edges absent from a projection
 TAU_FLOOR = 2
@@ -89,11 +90,8 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
     order and ties; each terminal's Dijkstra stops once it has settled every
     later terminal, the only closure entries it contributes.
     """
-    for w in q.query_attrs:
-        g.vertices_with(w)  # raises UnknownAttributeError
+    q.check_ids(g)
     terminals = sorted(q.query_nodes)
-    if len(terminals) == 1:
-        return SteinerSeed(frozenset(terminals), ())
     gamma = Fraction(q.gamma)
     attrs = sorted(q.query_attrs)
     wcache: dict[tuple[int, int], int] = {}
@@ -113,7 +111,7 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
         costs, parents[a] = _dijkstra(g, a, weight, later)
         for b in later:
             if b not in costs:
-                raise NoFeasibleCommunity("query_nodes_disconnected")
+                raise NoFeasibleCommunity(QUERY_NODES_DISCONNECTED)
             closure.append((costs[b], a, b))
     union_edges: set[tuple[int, int]] = set()
     for a, b in _kruskal((a, b) for _, a, b in sorted(closure)):
@@ -183,7 +181,6 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
     """
     members = set(seed.vertices)
     bd = score_of_vertices(g, members, q.query_attrs)
-    squares = sum(c * c for c in bd.cover.values())
     qattrs = frozenset(q.query_attrs)
     buckets: dict[frozenset[int], list[tuple[int, int]]] = {}
     by_size: list[frozenset[int]] = []  # the keys of buckets, largest first
@@ -209,7 +206,7 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
             if cov is not None and len(c) < len(cov):
                 break
             if ((cov is None or buckets[c][0] < buckets[cov][0])
-                    and majority_from_breakdown(c, bd, squares)):
+                    and majority_from_breakdown(c, bd)):
                 cov = c
         if cov is None:
             cov = min(by_size, key=lambda c: (-len(c), buckets[c][0]))
@@ -219,7 +216,7 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
             del buckets[cov]
             by_size.remove(cov)
         members.add(v)
-        squares += bd.add_vertex(g, v)
+        bd.add_vertex(g, v)
         reach_from(v)
     return induced_subgraph(g, members)
 
@@ -234,6 +231,7 @@ def autocomplete_attrs(g: Graph, query_nodes) -> frozenset[int]:
 def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
     """Steiner seed -> expansion -> max-trussness restriction -> bulk peel."""
     t0 = time.perf_counter()
+    q.check_ids(g)
     if not q.query_attrs:
         q = dataclasses.replace(q, query_attrs=autocomplete_attrs(g, q.query_nodes))
     seed = steiner_seed(g, idx, q)
@@ -250,6 +248,7 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
 
 GOOD = "good"
 BAD = "bad"
+ZERO_SCORE = "zero_score"  # W_q appears nowhere in the maximal (k,d)-truss
 
 
 @dataclass
@@ -265,15 +264,14 @@ def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
     For bad queries, partitions the query nodes into per-community suggested
     queries by repeatedly seeding from one remaining node.
     """
+    q.check_ids(g)
     kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
     reason = None
     if not kd.valid:
         reason = kd.reason
-    elif q.query_attrs:
-        present = any(w in g.attrs[v]
-                      for v in kd.subgraph.vertices for w in q.query_attrs)
-        if not present:
-            reason = "zero_score"
+    elif q.query_attrs and not score_of_vertices(g, kd.subgraph.vertices,
+                                                 q.query_attrs).squares:
+        reason = ZERO_SCORE
     if reason is None:
         return QueryClassification(GOOD, None, [])
 
@@ -282,14 +280,10 @@ def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
     while remaining:
         seed_node = remaining[0]
         kd0 = maximal_kd_truss(g, [seed_node], q.k, q.d)
-        if kd0.valid:
-            inside = set(kd0.subgraph.vertices)
-            nodes = tuple(v for v in remaining if v in inside)
-            attrs = tuple(sorted(w for w in q.query_attrs
-                                 if any(w in g.attrs[v] for v in inside)))
-        else:
-            nodes = (seed_node,)
-            attrs = tuple(sorted(set(q.query_attrs) & set(g.attrs[seed_node])))
+        inside = set(kd0.subgraph.vertices) if kd0.valid else {seed_node}
+        nodes = tuple(v for v in remaining if v in inside)
+        cover = score_of_vertices(g, inside, q.query_attrs).cover
+        attrs = tuple(sorted(w for w, c in cover.items() if c))
         suggestions.append((nodes, attrs))
         remaining = [v for v in remaining if v not in set(nodes)]
     return QueryClassification(BAD, reason, suggestions)

@@ -7,7 +7,7 @@ no comparison suffers float ties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -18,27 +18,28 @@ ZERO = Fraction(0)
 
 @dataclass
 class ScoreBreakdown:
-    """Per-attribute cover counts plus the total score for one vertex set."""
+    """Cover counts per query attribute and sum_w c_w^2, for one vertex set."""
     size: int
     cover: dict[int, int]  # query attribute id -> |V_w ∩ V(H)|
+    squares: int = field(init=False)
+
+    def __post_init__(self):
+        self.squares = sum(c * c for c in self.cover.values())
 
     @property
     def score(self) -> Fraction:
         if self.size == 0:
             return ZERO
-        num = sum(c * c for c in self.cover.values())
-        return Fraction(num, self.size)
+        return Fraction(self.squares, self.size)
 
-    def add_vertex(self, g: Graph, v: int) -> int:
-        """Count v in; returns how much sum_w c_w^2 grows."""
+    def add_vertex(self, g: Graph, v: int) -> None:
+        """Count v in."""
         self.size += 1
-        grew = 0
         for w in g.attrs[v]:
             c = self.cover.get(w)
             if c is not None:
-                grew += 2 * c + 1  # (c + 1)^2 - c^2
+                self.squares += 2 * c + 1  # (c + 1)^2 - c^2
                 self.cover[w] = c + 1
-        return grew
 
 
 def score_of_vertices(g: Graph, vertices: Iterable[int],
@@ -78,8 +79,7 @@ def gain_from_breakdown(g: Graph, batch: list[int],
     """
     cover = breakdown.cover
     n = breakdown.size
-    squares = sum(c * c for c in cover.values())
-    left = squares  # sum_w c_w^2 over H - batch
+    left = breakdown.squares  # sum_w c_w^2 over H - batch
     lost: dict[int, int] = {}
     for u in batch:
         for w in g.attrs[u]:
@@ -87,18 +87,14 @@ def gain_from_breakdown(g: Graph, batch: list[int],
                 r = lost.get(w, 0)
                 left -= 2 * (cover[w] - r) - 1  # (c - r)^2 - (c - r - 1)^2
                 lost[w] = r + 1
-    return squares * n - left * n * n // max(n - len(batch), 1)
+    return breakdown.squares * n - left * n * n // max(n - len(batch), 1)
 
 
-def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown,
-                            squares: int) -> bool:
+def majority_from_breakdown(attr_set: set[int], breakdown: ScoreBreakdown) -> bool:
     """The majority test in integers: sum_w theta(H, w) >= f(H) / (2|V|) with
-    theta(H, w) = c_w / |V| and f(H) = sum_w c_w^2 / |V|, times 2|V|^2.
-
-    `squares` is the breakdown's sum_w c_w^2, which the expansion keeps as a
-    running total rather than summing it for every test."""
+    theta(H, w) = c_w / |V| and f(H) = sum_w c_w^2 / |V|, times 2|V|^2."""
     n = breakdown.size
     if n == 0:
         return False
     covered = sum(c for w, c in breakdown.cover.items() if w in attr_set)
-    return 2 * n * covered >= squares
+    return 2 * n * covered >= breakdown.squares

@@ -105,24 +105,21 @@ def _query_verdict(h: Graph | Subgraph, qs: list[int], d: int):
     return dist, None
 
 
-def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int,
-                 pending: Optional[list], events: Optional[list]) -> None:
+def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int, pending: list,
+                 events: Optional[list]) -> None:
     """Delete v from h and its edges from `sup`; each pair of still-adjacent
     former neighbours loses triangle v and is queued when it drops below thr.
-    With `pending` None no pair is touched: the caller is dropping v's whole
-    component, so every such pair goes too.
     """
     ns = sorted(h.adj[v])
     for u in ns:
         del sup[edge_key(u, v)]
-    if pending is not None:
-        for i, a in enumerate(ns):
-            for b in ns[i + 1:]:
-                e = (a, b)
-                if e in sup:
-                    sup[e] -= 1
-                    if sup[e] < thr:
-                        pending.append(e)
+    for i, a in enumerate(ns):
+        for b in ns[i + 1:]:
+            e = (a, b)
+            if e in sup:
+                sup[e] -= 1
+                if sup[e] < thr:
+                    pending.append(e)
     h.remove_vertex(v)
     if events is not None:
         events.append(("v", v))
@@ -169,9 +166,7 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
         if not far:
             return KdTruss(h, True, sup=sup)
         for v in far:
-            # an unreachable vertex is in another component, all of it in far
-            _drop_vertex(h, sup, v, thr,
-                         pending if dist[v] != UNREACHABLE else None, events)
+            _drop_vertex(h, sup, v, thr, pending, events)
 
 
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,

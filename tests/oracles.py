@@ -241,9 +241,7 @@ def is_majority(h: Subgraph, attr_set, query_attrs) -> bool:
 
     True iff sum over w in W_q ∩ attr_set of theta(H, w) >= f(H, W_q) / (2|V(H)|).
     """
-    bd = attribute_score(h, query_attrs)
-    squares = sum(c * c for c in bd.cover.values())
-    return majority_from_breakdown(set(attr_set), bd, squares)
+    return majority_from_breakdown(set(attr_set), attribute_score(h, query_attrs))
 
 
 def brute_force_atc(g: Graph, q) -> SearchResult | None:

@@ -35,8 +35,7 @@ class TestLoadEdgeList:
     def test_dedup_and_self_loops(self, tmp_path):
         g = load_edge_list(write(tmp_path, "g", "0 1\n0 1\n1 0\n1 1\n"))
         assert g.n == 2 and g.m == 1
-        assert g.dropped_duplicates == 2
-        assert g.dropped_self_loops == 1
+        assert dict(g.adj) == {0: (1,), 1: (0,)}
 
     def test_comments_and_whitespace(self, tmp_path):
         g = load_edge_list(write(tmp_path, "g", "# header\n0 1\n\n  2   3 \n"))

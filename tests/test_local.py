@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, QuerySpec, UNREACHABLE, UnknownAttributeError
+from atc.graph import (Graph, QuerySpec, UNREACHABLE, UnknownAttributeError,
+                       UnknownVertexError)
 from atc.greedy import NoFeasibleCommunity, basic_search, bulk_search
 from atc.harness import gen_queries, gen_synth, plant_attributes
 import atc.local
@@ -434,6 +435,26 @@ class TestUnknownAttribute:
                  lambda: steiner_seed(g, idx, q), lambda: locatc_search(g, idx, q))
         for call in calls:
             with pytest.raises(UnknownAttributeError):
+                call()
+
+
+class TestUnknownIds:
+    @pytest.mark.parametrize("nodes, attrs, error", [
+        ({99}, set(), UnknownVertexError),
+        ({0, -1}, {0}, UnknownVertexError),
+        ({0}, {99}, UnknownAttributeError),
+        ({0, 1}, {-1}, UnknownAttributeError),
+    ])
+    def test_every_entry_point_raises(self, nodes, attrs, error):
+        g = Graph.from_edges(itertools.combinations(range(4), 2))
+        g.attach_attributes({v: ["a"] for v in range(4)})
+        idx = build_index(g)
+        q = QuerySpec(frozenset(nodes), frozenset(attrs), k=3, d=2)
+        calls = (lambda: basic_search(g, q), lambda: bulk_search(g, q),
+                 lambda: bulk_search(g.copy(), q), lambda: steiner_seed(g, idx, q),
+                 lambda: locatc_search(g, idx, q), lambda: classify_query(g, q))
+        for call in calls:
+            with pytest.raises(error):
                 call()
 
 

@@ -80,6 +80,22 @@ class TestAttributeScore:
         wq = set(rng.sample(range(4), rng.randint(0, 4)))
         assert score_of_vertices(g, vs, wq).score == oracle_score(g, vs, wq)
 
+    @given(st.integers(0, 2**30), st.lists(st.integers(0, 2**30), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_add_vertex_keeps_squares(self, seed, picks):
+        """The stored sum of c_w^2 equals a recount after every add_vertex,
+        from a breakdown built from (size, cover) or by score_of_vertices."""
+        rng = random.Random(seed)
+        g = rand_graph(rng, rng.randint(1, 15), 0.3, n_attrs=4)
+        wq = set(rng.sample(range(4), rng.randint(0, 4)))
+        start = score_of_vertices(g, rng.sample(range(g.n), rng.randint(0, g.n)), wq)
+        for bd in (start, ScoreBreakdown(start.size, dict(start.cover))):
+            for p in picks:
+                bd.add_vertex(g, p % g.n)
+                recount = sum(c * c for c in bd.cover.values())
+                assert bd.squares == recount
+                assert bd.score == Fraction(recount, bd.size)
+
 
 class TestNonSubmodularity:
     """Fixed regression: marginal gains of f are neither sub- nor
@@ -215,8 +231,7 @@ class TestMajorityAndMonotonicity:
     def test_integer_majority_matches_fraction_formula(self, size, counts, attr_set):
         cover = {w: min(c, size) for w, c in enumerate(counts)}
         bd = ScoreBreakdown(size, cover)
-        squares = sum(c * c for c in cover.values())
-        assert (majority_from_breakdown(attr_set, bd, squares)
+        assert (majority_from_breakdown(attr_set, bd)
                 == oracle_majority(attr_set, size, cover))
 
     @given(st.integers(0, 2**30))

@@ -145,6 +145,19 @@ class TestMaintain:
         kd = maintain_kd_truss(g.copy(), [g.internal(0), g.internal(2)], 2, 5)
         assert not kd.valid and kd.reason == QUERY_NODES_DISCONNECTED
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_stranded_component_dropped(self, k):
+        """Peeling the bridge strands the non-query K4 {4..7}: its vertices
+        go as ("v", v) events in sorted order, none of its edges is peeled
+        although each drop lowers its supports, and `sup` equals a recount."""
+        g = Graph.from_edges(list(itertools.combinations(range(4), 2)) + [(3, 4)]
+                             + list(itertools.combinations(range(4, 8), 2)))
+        events = []
+        kd = maintain_kd_truss(g.copy(), [0], k, 3, events=events)
+        assert kd.valid and sorted(kd.subgraph.vertices) == [0, 1, 2, 3]
+        assert events == [("e", 3, 4), ("v", 4), ("v", 5), ("v", 6), ("v", 7)]
+        assert kd.sup == oracle_supports(adj_of(kd.subgraph))
+
     @given(st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
     def test_matches_naive_fixpoint_oracle(self, seed):
