@@ -54,7 +54,6 @@ from .index import (
     save_index,
 )
 from .local import (
-    autocomplete_attrs,
     classify_query,
     expand_candidate,
     locatc_search,

@@ -46,7 +46,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .local import BAD, classify_query, locatc_search
+from .local import classify_query, locatc_search
 from .truss import truss_decompose
 
 EXIT_OK = 0
@@ -239,7 +239,7 @@ def cmd_query(args) -> int:
     # (under --auto-kd the search picks a (k,d) that admits what it finds)
     if args.suggest_on_bad and (res is None or (not res.score and q.query_attrs)):
         cls = classify_query(g, q)
-        if cls.status == BAD:
+        if cls.reason is not None:
             print(_result_json(g, None, "bad_query", cls.suggestions))
             return EXIT_EMPTY if args.fail_on_empty else EXIT_OK
     if res is None:

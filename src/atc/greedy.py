@@ -21,7 +21,7 @@ from .score import (
     removal_set,
     score_of_vertices,
 )
-from .truss import KdTruss, diameter, maintain_kd_truss, maximal_kd_truss
+from .truss import diameter, maintain_kd_truss, maximal_kd_truss
 
 
 class NoFeasibleCommunity(Exception):
@@ -92,14 +92,6 @@ def _finish(trace: CandidateTrace, q: QuerySpec, algo: str, iterations: int,
     )
 
 
-def _initial_truss(g: Graph | Subgraph, q: QuerySpec) -> KdTruss:
-    q.check_ids(g)
-    kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
-    if not kd.valid:
-        raise NoFeasibleCommunity(kd.reason)
-    return kd
-
-
 def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick):
     """The greedy framework: delete pick(h, cands, bd) per round, restore
     the (k,d)-truss, and return the best candidate with its trace.
@@ -107,7 +99,10 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick):
     `cands` lists the non-query vertices of h and `bd` is h's score breakdown.
     """
     t0 = time.perf_counter()
-    kd = _initial_truss(g, q)
+    q.check_ids(g)
+    kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
+    if not kd.valid:
+        raise NoFeasibleCommunity(kd.reason)
     h, sup = kd.subgraph, kd.sup
     parent = h.parent
     bd = score_of_vertices(parent, h.vertices, q.query_attrs)
@@ -149,7 +144,7 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec):
         alone = {}  # attributes -> gain of a vertex whose P_H(v) is {v}
 
         def gain(v):
-            batch = removal_set(h, v, q.k, floor)
+            batch = removal_set(h, v, floor)
             if len(batch) > 1:
                 return gain_from_breakdown(h.parent, batch, bd)
             if attrs[v] not in alone:

@@ -19,6 +19,7 @@ from .graph import Graph, GraphFormatError, QuerySpec, parse_vertex_id
 from .greedy import NoFeasibleCommunity, bulk_search
 
 ZERO = Fraction(0)
+ATTRS_PER_COMMUNITY = 3  # planted labels per community
 
 
 @dataclass
@@ -36,9 +37,8 @@ class GroundTruth:
 
 
 def gen_synth(n: int = 1000, communities: int = 20,
-              size_range: tuple[int, int] = (8, 16),
               p_background: float = 0.01, seed: int = 0):
-    """Disjoint planted cliques over an Erdos-Renyi background.
+    """Disjoint planted cliques of 8 to 16 vertices over an Erdos-Renyi background.
 
     Returns (Graph, GroundTruth); external vertex ids are 0..n-1.
     """
@@ -48,7 +48,7 @@ def gen_synth(n: int = 1000, communities: int = 20,
     comms = []
     pos = 0
     for _ in range(communities):
-        size = rng.randint(*size_range)
+        size = rng.randint(8, 16)
         if pos + size > n:
             raise ValueError("graph too small for the requested communities")
         comms.append(Community(frozenset(order[pos:pos + size])))
@@ -66,24 +66,20 @@ def gen_synth(n: int = 1000, communities: int = 20,
 
 
 def plant_attributes(g: Graph, gt: GroundTruth, coverage: int = 80,
-                     n_attrs_per_comm: int = 3,
                      noise_range: tuple[int, int] = (1, 5),
-                     pool_ratio: Fraction = Fraction(5, 1000),
                      rng_seed: int = 0) -> Graph:
-    """Assign per-community attributes at `coverage` percent, plus noise.
+    """Plant ATTRS_PER_COMMUNITY labels per community at `coverage` percent, plus noise.
 
-    The attribute pool has max(n_attrs_per_comm, floor(pool_ratio * n))
-    labels; noise draws come from the same pool.  Mutates g's attribute
-    table and fills in each community's planted attrs.  Deterministic.
+    The attribute pool has max(ATTRS_PER_COMMUNITY, n // 200) labels; noise
+    draws come from the same pool.  Mutates g's attribute table and fills in
+    each community's planted attrs.  Deterministic.
     """
-    if n_attrs_per_comm < 1:
-        raise ValueError("need at least one attribute per community")
-    pool_size = max(n_attrs_per_comm, int(pool_ratio * g.n))
+    pool_size = max(ATTRS_PER_COMMUNITY, g.n // 200)
     pool = [f"a{i}" for i in range(pool_size)]
     rng = random.Random(rng_seed)
     table: dict[int, set[str]] = {ext: set() for ext in sorted(g.ext_ids)}
     for c in gt.communities:
-        planted = sorted(rng.sample(pool, n_attrs_per_comm))
+        planted = sorted(rng.sample(pool, ATTRS_PER_COMMUNITY))
         c.attrs = tuple(planted)
         members = sorted(c.members)
         quota = max(1, round(coverage / 100 * len(members)))
@@ -137,7 +133,7 @@ def representative_attrs(g: Graph, members: frozenset[int],
 
 def gen_queries(g: Graph, gt: GroundTruth, count: int,
                 nodes_range: tuple[int, int] = (1, 16),
-                attrs_per_query: int = 2, rng_seed: int = 0) -> list[GenQuery]:
+                rng_seed: int = 0) -> list[GenQuery]:
     """Sample query nodes from one community; attrs are its representatives."""
     rng = random.Random(rng_seed)
     out = []
@@ -146,8 +142,7 @@ def gen_queries(g: Graph, gt: GroundTruth, count: int,
         members = sorted(gt.communities[ci].members)
         size = min(rng.randint(*nodes_range), len(members))
         nodes = tuple(sorted(rng.sample(members, size)))
-        attrs = representative_attrs(g, gt.communities[ci].members,
-                                     top=attrs_per_query)
+        attrs = representative_attrs(g, gt.communities[ci].members)
         out.append(GenQuery(nodes, attrs, ci))
     return out
 

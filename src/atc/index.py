@@ -131,10 +131,8 @@ def _graph_line(g: Graph) -> str:
 # --- serialization ---------------------------------------------------------
 
 
-def _section_lines(name_line: str, rows: list[str]) -> list[str]:
-    body = [name_line] + rows
-    crc = zlib.crc32("\n".join(body).encode("utf-8")) & 0xFFFFFFFF
-    return body + [f"CRC\t{crc:08x}"]
+def _crc(lines: list[str]) -> str:
+    return f"{zlib.crc32(chr(10).join(lines).encode('utf-8')):08x}"
 
 
 def edge_rows(table: dict[tuple[int, int], int], ext: list[int]) -> list[str]:
@@ -148,10 +146,12 @@ def edge_rows(table: dict[tuple[int, int], int], ext: list[int]) -> list[str]:
 def save_index(idx: ATIndex, g: Graph, path: str) -> None:
     ext = g.ext_ids
     lines = [f"{FORMAT_MAGIC}\t{FORMAT_VERSION}", _graph_line(g)]
-    lines += _section_lines("SECTION\tSTRUCT_E", edge_rows(idx.edge_truss, ext))
-    for w in sorted(idx.attr_edge_truss, key=lambda w: g.attr_labels[w]):
-        lines += _section_lines(f"SECTION\tATTR\t{g.attr_labels[w]}",
-                                edge_rows(idx.attr_edge_truss[w], ext))
+    sections = [("STRUCT_E", idx.edge_truss)] + [
+        (f"ATTR\t{g.attr_labels[w]}", idx.attr_edge_truss[w])
+        for w in sorted(idx.attr_edge_truss, key=lambda w: g.attr_labels[w])]
+    for name, table in sections:
+        body = [f"SECTION\t{name}", *edge_rows(table, ext)]
+        lines += body + [f"CRC\t{_crc(body)}"]
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -180,9 +180,7 @@ def load_index(path: str, g: Graph) -> ATIndex:
         if line.startswith("CRC\t"):
             if not cur or not cur[0].startswith("SECTION\t"):
                 raise CorruptIndexError("checksum line outside a section")
-            want = line.split("\t")[1]
-            got = f"{zlib.crc32(chr(10).join(cur).encode('utf-8')) & 0xFFFFFFFF:08x}"
-            if want != got:
+            if line.split("\t")[1] != _crc(cur):
                 raise ChecksumError(f"checksum mismatch in {cur[0]}")
             sections.append(cur)
             cur = []

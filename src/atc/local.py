@@ -221,19 +221,13 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
     return induced_subgraph(g, members)
 
 
-def autocomplete_attrs(g: Graph, query_nodes) -> frozenset[int]:
-    out: set[int] = set()
-    for v in query_nodes:
-        out.update(g.attrs[v])
-    return frozenset(out)
-
-
 def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
     """Steiner seed -> expansion -> max-trussness restriction -> bulk peel."""
     t0 = time.perf_counter()
     q.check_ids(g)
-    if not q.query_attrs:
-        q = dataclasses.replace(q, query_attrs=autocomplete_attrs(g, q.query_nodes))
+    if not q.query_attrs:  # the union of the query nodes' attributes
+        q = dataclasses.replace(q, query_attrs=frozenset().union(
+            *(g.attrs[v] for v in q.query_nodes)))
     seed = steiner_seed(g, idx, q)
     gt = expand_candidate(g, idx, seed, q)
     k_max, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
@@ -246,15 +240,12 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
                                wall_time=time.perf_counter() - t0)
 
 
-GOOD = "good"
-BAD = "bad"
 ZERO_SCORE = "zero_score"  # W_q appears nowhere in the maximal (k,d)-truss
 
 
 @dataclass
 class QueryClassification:
-    status: str
-    reason: str | None
+    reason: str | None  # None for a good query
     suggestions: list  # [(query node tuple, attribute id tuple), ...]
 
 
@@ -266,14 +257,12 @@ def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
     """
     q.check_ids(g)
     kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
-    reason = None
-    if not kd.valid:
-        reason = kd.reason
-    elif q.query_attrs and not score_of_vertices(g, kd.subgraph.vertices,
-                                                 q.query_attrs).squares:
+    reason = kd.reason  # None when valid
+    if kd.valid and q.query_attrs and not score_of_vertices(
+            g, kd.subgraph.vertices, q.query_attrs).squares:
         reason = ZERO_SCORE
     if reason is None:
-        return QueryClassification(GOOD, None, [])
+        return QueryClassification(None, [])
 
     suggestions = []
     remaining = sorted(q.query_nodes)
@@ -286,4 +275,4 @@ def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
         attrs = tuple(sorted(w for w, c in cover.items() if c))
         suggestions.append((nodes, attrs))
         remaining = [v for v in remaining if v not in set(nodes)]
-    return QueryClassification(BAD, reason, suggestions)
+    return QueryClassification(reason, suggestions)

@@ -60,7 +60,7 @@ def contribution_from_breakdown(g: Graph, v: int, breakdown: ScoreBreakdown) -> 
     return sum(2 * ws[w] - 1 for w in g.attrs[v] if w in ws)
 
 
-def removal_set(h: Subgraph, v: int, k: int, floor: set[int]) -> list[int]:
+def removal_set(h: Subgraph, v: int, floor: set[int]) -> list[int]:
     """P_H(v): v plus its neighbors sitting at the k-truss degree floor k-1.
 
     `floor` is the set of h's vertices of degree k-1, which a caller taking

@@ -31,11 +31,12 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def compute_supports(h: Subgraph) -> dict[tuple[int, int], int]:
+def compute_supports(h: Graph | Subgraph) -> dict[tuple[int, int], int]:
     """Exact triangle count per live edge."""
+    adj = h.copy().adj if isinstance(h, Graph) else h.adj  # sets, not tuples
     sup = {}
     for u, v in h.edges():
-        sup[(u, v)] = len(h.adj[u] & h.adj[v])
+        sup[(u, v)] = len(adj[u] & adj[v])
     return sup
 
 
@@ -278,7 +279,8 @@ def diameter(h: Subgraph):
     return max(source_distances(h.adj, h.vertices).values())
 
 
-def is_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int) -> bool:
+def is_kd_truss(h: Graph | Subgraph, query_nodes: Iterable[int], k: int,
+                d: int) -> bool:
     """From-scratch check of all four (k,d)-truss conditions; false without
     query nodes."""
     qs = sorted(set(query_nodes))

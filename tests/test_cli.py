@@ -499,6 +499,14 @@ class TestIndexFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"version {version}" in err
 
+    def test_missing_graph_line_rejected(self, cycle, capsys):
+        d, _ = cycle
+        bad = d / "bad.atidx"
+        bad.write_text("ATIDX\t3\n")
+        capsys.readouterr()
+        assert self.query(d, str(bad)) == EXIT_INPUT
+        assert capsys.readouterr().err == "atc: input error: missing GRAPH\n"
+
     def test_wrong_graph_index_rejected(self, cycle, capsys):
         d, idx = cycle
         (d / "g2.edges").write_text("0 1\n1 2\n2 3\n0 3\n1 3\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc.graph import Graph, QuerySpec, UnknownAttributeError
+from atc.graph import Graph, QuerySpec, UnknownAttributeError, induced_subgraph
 from atc.greedy import (
     NoFeasibleCommunity,
     basic_search,
@@ -15,7 +15,8 @@ from atc.greedy import (
     replay_candidate,
 )
 from atc.score import score_of_vertices
-from atc.truss import is_kd_truss, maintain_kd_truss, maximal_kd_truss
+from atc.truss import (QUERY_NODE_PRUNED, is_kd_truss, maintain_kd_truss,
+                       maximal_kd_truss)
 
 from oracles import (adj_of, iteration_bound, oracle_is_kd_truss, oracle_peel,
                      rand_graph, result_adj)
@@ -121,6 +122,15 @@ class TestBulkSearch:
             assert res.iterations <= iteration_bound(g.n, q.k, q.epsilon) + 2
             assert is_kd_truss(replay_candidate(trace, trace.best),
                                q.query_nodes, q.k, q.d)
+
+    def test_query_node_outside_subgraph(self):
+        """A query node of the parent graph that the searched view lacks
+        fails the search as pruned, not as an unknown id."""
+        g = two_cliques()
+        h = induced_subgraph(g, [g.internal(v) for v in range(1, 5)])
+        with pytest.raises(NoFeasibleCommunity) as info:
+            bulk_search(h, spec(g, [0, 1], ["x"], k=3, d=2))
+        assert info.value.reason == QUERY_NODE_PRUNED
 
     def test_query_nodes_never_deleted(self):
         rng = random.Random(21)

@@ -24,7 +24,7 @@ from atc.harness import (
     write_queries,
     write_truth,
 )
-from atc.greedy import bulk_search
+from atc.greedy import NoFeasibleCommunity, bulk_search
 
 from oracles import brute_force_atc, brute_force_atc_alt, rand_graph
 
@@ -265,3 +265,17 @@ class TestEvaluateAndFiles:
         assert len(rep.rows) == 4
         assert rep.mean_f1 == 0
         assert all(r.status == "infeasible" for r in rep.rows)
+
+    def test_evaluate_counts_raised_infeasible(self):
+        """A search that raises NoFeasibleCommunity scores as one that
+        returns None: a zero-F1 row, so the denominators stay equal."""
+        g, gt = gen_synth(n=80, communities=2, seed=13)
+        plant_attributes(g, gt, rng_seed=13)
+        queries = gen_queries(g, gt, 4, rng_seed=13)
+
+        def run(g_, q):
+            raise NoFeasibleCommunity("query_node_pruned")
+        rep = evaluate(g, gt, queries, run)
+        assert [(r.query, r.status, r.f1, r.found_size) for r in rep.rows] == [
+            (gq, "infeasible", 0, 0) for gq in queries]
+        assert rep.mean_f1 == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +211,30 @@ class TestGraphCheck:
                    table={3: ["y"], 2: ["x"], 1: ["x"], 0: ["x"]})
         assert g.ext_ids != square().ext_ids
         assert load_index(path, g) == build_index(g)
+
+
+def crc_section(header, rows=()):
+    """A section with a correct CRC line, computed here from the format's rule."""
+    body = [header, *rows]
+    return body + [f"CRC\t{zlib.crc32(chr(10).join(body).encode('utf-8')):08x}"]
+
+
+class TestMalformedFile:
+    """Each kind of damage that a CRC cannot catch is rejected by name."""
+
+    @pytest.mark.parametrize("keep, body, message", [
+        (0, [], "empty index file"),
+        (1, [], "missing GRAPH"),
+        (2, ["CRC\t00000000"], "outside a section"),
+        (2, crc_section("SECTION\tBOGUS"), "unknown section BOGUS"),
+        (2, crc_section("SECTION\tSTRUCT_E", ["0\t1"]), "malformed row"),
+    ])
+    def test_rejected(self, tmp_path, keep, body, message):
+        """The file keeps its first `keep` lines (magic, GRAPH), then `body`."""
+        g = square()
+        path = tmp_path / "sq.atidx"
+        save_index(build_index(g), g, str(path))
+        head = path.read_text().splitlines()[:keep]
+        path.write_text("".join(line + "\n" for line in head + body))
+        with pytest.raises(CorruptIndexError, match=message):
+            load_index(str(path), g)

@@ -13,10 +13,7 @@ from atc.harness import gen_queries, gen_synth, plant_attributes
 import atc.local
 from atc.index import build_index, graph_digest
 from atc.local import (
-    BAD,
-    GOOD,
     SteinerSeed,
-    autocomplete_attrs,
     classify_query,
     expand_candidate,
     locatc_search,
@@ -127,6 +124,30 @@ class TestSteinerSeed:
         idx = build_index(g)
         with pytest.raises(NoFeasibleCommunity):
             steiner_seed(g, idx, spec(g, [0, 2]))
+
+    def test_non_terminal_leaves_pruned(self):
+        """The closure paths 0..1 and 1..2 cross the diamond 3-7-4-1 / 3-5-6-1
+        on different sides, so the union of the paths has a cycle.  Its
+        spanning tree leaves 5 and 6 as leaves that are not terminals, and
+        the pruning removes them."""
+        edges = [(0, 8), (8, 9), (9, 10), (10, 11), (11, 3),
+                 (2, 12), (12, 13), (13, 14), (14, 15), (15, 3),
+                 (3, 7), (7, 4), (4, 1), (3, 5), (5, 6), (6, 1)]
+        adj = [set() for _ in range(16)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        g = Graph(adj, list(range(16)))  # internal ids are the ids above
+        idx = build_index(g)
+        q = QuerySpec(frozenset({0, 1, 2}))
+        seed = steiner_seed(g, idx, q)
+        assert (seed.vertices, seed.edges) == oracle_steiner_seed(g, idx, q)
+        assert len(seed.edges) == 13 and not seed.vertices & {5, 6}
+        degree = {}
+        for u, v in seed.edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        assert {v for v, dv in degree.items() if dv == 1} <= q.query_nodes
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
@@ -322,7 +343,8 @@ def unpruned_local(g, idx, q):
     """locatc_search with the expansion crossing every edge: the oracle
     expansion at floor 0, then the densest connecting truss and the peel."""
     if not q.query_attrs:
-        q = dataclasses.replace(q, query_attrs=autocomplete_attrs(g, q.query_nodes))
+        q = dataclasses.replace(q, query_attrs=frozenset().union(
+            *(g.attrs[v] for v in q.query_nodes)))
     seed = steiner_seed(g, idx, q)
     gt = induced_subgraph(g, oracle_expand(g, idx, seed.vertices, q, floor=0))
     _, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
@@ -522,24 +544,32 @@ class TestLocATC:
 
 
 class TestAutocomplete:
-    def test_single_node(self):
+    """A local query without attributes takes its nodes' attributes."""
+
+    def search_both_ways(self, nodes, labels):
         g = Graph.from_edges([(0, 1)])
-        g.attach_attributes({0: ["DB", "DM"], 1: ["ML"]})
-        assert autocomplete_attrs(g, [g.internal(0)]) == {
-            g.attr_id("DB"), g.attr_id("DM")}
+        g.attach_attributes({0: ["DB"], 1: ["DB", "ML"]})
+        idx = build_index(g)
+        bare = outcome(lambda: locatc_search(g, idx, spec(g, nodes, k=2, d=1)))
+        given = outcome(lambda: locatc_search(g, idx, spec(g, nodes, labels, k=2, d=1)))
+        assert bare == given
+        return bare
+
+    def test_single_node(self):
+        # {0, 1} scores 2^2 / 2 on {DB}; taking ML too would score 5/2
+        vertices, _, score, *_ = self.search_both_ways([0], ["DB"])
+        assert score == 2 and len(vertices) == 2
 
     def test_union_over_nodes(self):
-        g = Graph.from_edges([(0, 1)])
-        g.attach_attributes({0: ["DB", "DM"], 1: ["ML"]})
-        got = autocomplete_attrs(g, [g.internal(0), g.internal(1)])
-        assert got == {g.attr_id("DB"), g.attr_id("DM"), g.attr_id("ML")}
+        vertices, _, score, *_ = self.search_both_ways([0, 1], ["DB", "ML"])
+        assert score == Fraction(5, 2) and len(vertices) == 2
 
 
 class TestClassifyQuery:
     def test_good_query(self):
         g = two_attr_cliques()
         cls = classify_query(g, spec(g, [0], ["x"], k=3, d=2))
-        assert cls.status == GOOD and cls.suggestions == []
+        assert cls.reason is None and cls.suggestions == []
 
     def test_disconnected_bad(self):
         edges = list(itertools.combinations(range(4), 2)) \
@@ -547,7 +577,6 @@ class TestClassifyQuery:
         g = Graph.from_edges(edges)
         g.attach_attributes({v: ["x"] for v in range(8)})
         cls = classify_query(g, spec(g, [0, 4], ["x"], k=3, d=3))
-        assert cls.status == BAD
         assert cls.reason == "query_nodes_disconnected"
         # partition loop splits the query into the two components
         node_groups = [set(n) for n, _ in cls.suggestions]
@@ -558,7 +587,7 @@ class TestClassifyQuery:
     def test_zero_score_bad(self):
         g = two_attr_cliques()
         cls = classify_query(g, spec(g, [0], ["y"], k=3, d=0))
-        assert cls.status == BAD and cls.reason == "zero_score"
+        assert cls.reason == "zero_score"
 
     def test_two_community_suggestions(self):
         edges = list(itertools.combinations(range(5), 2)) \
@@ -567,7 +596,7 @@ class TestClassifyQuery:
         g.attach_attributes(
             {v: (["x"] if v < 5 else ["y"]) for v in range(10)})
         cls = classify_query(g, spec(g, [0, 7], ["x", "y"], k=3, d=2))
-        assert cls.status == BAD
+        assert cls.reason is not None
         assert len(cls.suggestions) == 2
         attr_sets = [set(a) for _, a in cls.suggestions]
         assert {g.attr_id("x")} in attr_sets and {g.attr_id("y")} in attr_sets

@@ -175,7 +175,7 @@ class TestLocalMarginalGain:
         edges = base + [(9, 10), (10, 11), (9, 11), (10, 1)]  # v8=9, v9=10, v10=11
         g = attributed(12, {0: ["ML"], 9: ["ML"], 11: ["ML"]}, edges=edges)
         h = g.copy()
-        assert sorted(removal_set(h, 10, 3, degree_floor(h, 3))) == [9, 10, 11]
+        assert sorted(removal_set(h, 10, degree_floor(h, 3))) == [9, 10, 11]
         gain = local_marginal_gain(h, 10, [g.attr_id("ML")], k=3)
         assert gain == Fraction(3, 4) - Fraction(1, 9)
         assert gain > 0
@@ -185,7 +185,7 @@ class TestLocalMarginalGain:
         h = g.copy()  # K5: no neighbor has degree k-1 for k=3
         wq = [g.attr_id("x")]
         v = 4
-        assert removal_set(h, v, 3, degree_floor(h, 3)) == [v]
+        assert removal_set(h, v, degree_floor(h, 3)) == [v]
         single = (score_of_vertices(g, range(5), wq).score
                   - score_of_vertices(g, [0, 1, 2, 3], wq).score)
         assert local_marginal_gain(h, v, wq, 3) == single
@@ -205,7 +205,7 @@ class TestLocalMarginalGain:
         wq = set(rng.sample(range(3), 2))
         k = rng.randint(2, 5)
         v = rng.randrange(g.n)
-        batch = removal_set(h, v, k, degree_floor(h, k))
+        batch = removal_set(h, v, degree_floor(h, k))
         if len(batch) >= g.n:
             return
         expect = (oracle_score(g, range(g.n), wq)

@@ -57,6 +57,20 @@ class TestSupports:
         assert compute_supports(g.copy()) == oracle_supports(adj_of(g))
 
 
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_graph_and_subgraph_views_agree(seed):
+    """compute_supports and is_kd_truss read a Graph in place and give what
+    they give on its mutable copy."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    g = rand_graph(rng, n, rng.uniform(0.2, 0.9))
+    assert compute_supports(g) == compute_supports(g.copy())
+    qs = rng.sample(range(n), rng.randint(1, min(3, n)))
+    k, d = rng.randint(2, 5), rng.randint(0, 4)
+    assert is_kd_truss(g, qs, k, d) == is_kd_truss(g.copy(), qs, k, d)
+
+
 class TestTrussDecompose:
     def test_clique(self):
         for n in (3, 4, 5, 6):
