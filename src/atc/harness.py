@@ -20,6 +20,7 @@ from .greedy import NoFeasibleCommunity, bulk_search
 
 ZERO = Fraction(0)
 ATTRS_PER_COMMUNITY = 3  # planted labels per community
+QUERY_ATTRS = 2  # representative labels per generated query
 
 
 @dataclass
@@ -104,9 +105,9 @@ class GenQuery:
     community: int
 
 
-def representative_attrs(g: Graph, members: frozenset[int],
-                         top: int = 2) -> tuple[str, ...]:
-    """Attributes ranked by in-community vs out-community frequency ratio.
+def representative_attrs(g: Graph, members: frozenset[int]) -> tuple[str, ...]:
+    """The QUERY_ATTRS attributes of highest in-community vs out-community
+    frequency ratio.
 
     Ties: attributes absent outside rank first, then higher in-community
     frequency, then lexicographic label.
@@ -128,7 +129,7 @@ def representative_attrs(g: Graph, members: frozenset[int],
             ratio = in_freq / Fraction(c_out, n_out)
         scored.append((ratio is not None, ratio or ZERO, -in_freq, label))
     scored.sort(key=lambda t: (t[0], -t[1], t[2], t[3]))
-    return tuple(t[3] for t in scored[:top])
+    return tuple(t[3] for t in scored[:QUERY_ATTRS])
 
 
 def gen_queries(g: Graph, gt: GroundTruth, count: int,

@@ -180,7 +180,10 @@ def load_index(path: str, g: Graph) -> ATIndex:
         if line.startswith("CRC\t"):
             if not cur or not cur[0].startswith("SECTION\t"):
                 raise CorruptIndexError("checksum line outside a section")
-            if line.split("\t")[1] != _crc(cur):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise CorruptIndexError(f"malformed checksum line in {cur[0]}")
+            if fields[1] != _crc(cur):
                 raise ChecksumError(f"checksum mismatch in {cur[0]}")
             sections.append(cur)
             cur = []

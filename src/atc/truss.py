@@ -5,8 +5,9 @@ One edge-peeling loop serves two jobs: decomposition, for the index, runs
 it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), and (k,d)-truss
 maintenance runs it between query-distance rounds.  The densest connecting
 truss is maintenance, once per level it tries.  The maximal (k,d)-truss
-around the query nodes is maintenance too, started from only the query
-nodes' triangle-supported part of the d-ball.
+around the query nodes is maintenance too, started from only the part of G
+that a walk from the query nodes reaches along triangle-supported edges;
+only a query that fails there pays for a distance sweep over all of G.
 """
 from __future__ import annotations
 
@@ -170,67 +171,94 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
             _drop_vertex(h, sup, v, thr, pending, events)
 
 
-def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
-                     d: int) -> KdTruss:
-    """Maximal (k,d)-truss of the d-ball around the query nodes.  g is only
-    read.
+def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
+          ball: Optional[set[int]] = None) -> Subgraph:
+    """The subgraph g induces on what a walk from all query nodes at once
+    reaches along edges that pass two triangle tests, with supports counted
+    in g, or in the subgraph `ball` induces when given.  In g the walk stops
+    d edges out; in the ball it does not, so the ball's components stay
+    whole.
 
-    Every edge of the ball's maximal k-truss closes at least k-2 triangles
-    inside the ball (the first test; Huang et al., SIGMOD 2014), and in k-2
-    of them both other edges pass the first test too (the second).  So the
-    result lies in the query nodes' components of the edges that pass both
-    tests.  A walk from all query nodes at once finds them, sets are built
-    only for the vertices and edges it tests, and maintenance starts from
-    the subgraph the reached vertices induce.  The rest of the ball would
-    be peeled, or dropped as unreachable in the first distance round,
-    without changing the query nodes' components, so the result, its
-    supports and the reason a query fails are the whole ball's.
-
-    The second test stops the walk at a bridge into another dense region
-    whose triangles lean on edges the first peel removes.  An edge with at
-    least 2(k-2) triangles skips it: it could fail only if k-1 of them had
-    a failing side, and in a dense region the test would count most edges'
-    supports twice.
+    The first test is a support of at least k-2.  The second asks that in
+    k-2 of those triangles both other edges pass the first too; it stops
+    the walk at a bridge into another dense region whose triangles lean on
+    edges the first peel removes.  An edge with at least 2(k-2) triangles
+    skips it: it could fail only if k-1 of them had a failing side, and in
+    a dense region the test would count most supports twice.
     """
-    qs = sorted(set(query_nodes))
-    dist, reason = _query_verdict(g, qs, d)
-    if reason is not None:
-        return KdTruss(None, False, reason)
-    ball = {v for v, dv in dist.items() if dv <= d}
-    nb: dict[int, set[int]] = {}  # touched vertex -> its neighbours in the ball
-    tri: dict[tuple[int, int], int] = {}  # touched edge -> its support in the ball
+    nb: dict[int, set[int]] = {}  # touched vertex -> its neighbours
+    tri: dict[tuple[int, int], int] = {}  # touched edge -> its support
 
-    def ball_adj(u):
+    def nbrs(u):
         if u not in nb:
-            nb[u] = ball.intersection(g.adj[u])
+            nb[u] = set(g.adj[u]) if ball is None else ball.intersection(g.adj[u])
         return nb[u]
 
     def support(u, v):
         e = edge_key(u, v)
         if e not in tri:
-            tri[e] = len(ball_adj(u) & ball_adj(v))
+            tri[e] = len(nbrs(u) & nbrs(v))
         return tri[e]
 
     def passes(u, v):
+        if k <= 2:
+            return True  # every edge closes at least k-2 triangles
         s = support(u, v)
         if s < k - 2 or s >= 2 * (k - 2):
             return s >= k - 2
-        return sum(1 for w in ball_adj(u) & ball_adj(v)
+        return sum(1 for w in nbrs(u) & nbrs(v)
                    if support(u, w) >= k - 2 and support(v, w) >= k - 2) >= k - 2
 
-    reach = list(qs)  # grows while walked
+    reach = list(qs)  # grows while walked, one level at a time
     seen = set(qs)
-    for u in reach:
-        for v in ball_adj(u):
-            if v not in seen and passes(u, v):
-                seen.add(v)
-                reach.append(v)
-    adj = {u: nb[u] for u in reach}
-    if len(seen) < len(ball):  # else every ball neighbour was reached
+    lo, level = 0, 0
+    while lo < len(reach) and (ball is not None or level < d):
+        hi, level = len(reach), level + 1
+        for u in reach[lo:hi]:
+            for v in nbrs(u):
+                if v not in seen and passes(u, v):
+                    seen.add(v)
+                    reach.append(v)
+        lo = hi
+    adj = {u: nbrs(u) for u in reach}  # the last level was not walked from
+    # else every neighbour in the universe was reached
+    if len(seen) < (g.num_vertices() if ball is None else len(ball)):
         for nu in adj.values():
             nu &= seen
-    h = Subgraph(g.parent, adj, sum(map(len, adj.values())) // 2)
-    return maintain_kd_truss(h, qs, k, d)
+    return Subgraph(g.parent, adj, sum(map(len, adj.values())) // 2)
+
+
+def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
+                     d: int) -> KdTruss:
+    """Maximal (k,d)-truss T of the d-ball, the vertices within distance d
+    of every query node.  g is only read.
+
+    Each edge of T closes k-2 triangles inside T, so it passes both tests
+    of `_walk` with supports counted in g or in the ball (the containment
+    argument of Huang et al., SIGMOD 2014), and each vertex of T is within
+    d of the query nodes along T's edges, so the walk reaches all of T.  T
+    is unique, and maintenance from any subgraph holding it ends at it, so
+    a valid result and its supports do not depend on the start: it is the
+    walk in g, and no distance is computed outside that.
+
+    A failure's reason does depend on the start.  So a query whose
+    maintenance fails pays for the sweep over g, which rules on the query
+    nodes' distances, and for maintenance from the walk inside the ball;
+    the rest of the ball would be peeled, or dropped as unreachable in the
+    first distance round, without changing the query nodes' components.
+    k <= 2 takes this path at once: every edge passes there, so the walk in
+    g would take in each query node's own d-ball.
+    """
+    qs = sorted(set(query_nodes))
+    if k > 2 and all(map(g.has_vertex, qs)):
+        kd = maintain_kd_truss(_walk(g, qs, k, d), qs, k, d)
+        if kd.valid:
+            return kd
+    dist, reason = _query_verdict(g, qs, d)
+    if reason is not None:
+        return KdTruss(None, False, reason)
+    ball = {v for v, dv in dist.items() if dv <= d}
+    return maintain_kd_truss(_walk(g, qs, k, d, ball), qs, k, d)
 
 
 def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],

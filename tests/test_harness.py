@@ -128,7 +128,7 @@ class TestGenQueries:
     def test_ratio_recomputation(self):
         g, gt = self._setup()
         c = gt.communities[0]
-        attrs = representative_attrs(g, c.members, top=2)
+        attrs = representative_attrs(g, c.members)
         inside = {g.internal(v) for v in c.members}
 
         def ratio(label):

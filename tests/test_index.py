@@ -228,6 +228,10 @@ class TestMalformedFile:
         (2, ["CRC\t00000000"], "outside a section"),
         (2, crc_section("SECTION\tBOGUS"), "unknown section BOGUS"),
         (2, crc_section("SECTION\tSTRUCT_E", ["0\t1"]), "malformed row"),
+        # the checksum is right, but a CRC line holds exactly two fields
+        (2, [f"{line}\tjunk" if line.startswith("CRC") else line
+             for line in crc_section("SECTION\tSTRUCT_E", ["0\t1\t3"])],
+         "malformed checksum line"),
     ])
     def test_rejected(self, tmp_path, keep, body, message):
         """The file keeps its first `keep` lines (magic, GRAPH), then `body`."""

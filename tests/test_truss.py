@@ -1,13 +1,17 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atc import truss
-from atc.graph import Graph, UNREACHABLE, induced_subgraph, query_distance
-from atc.greedy import CandidateTrace, replay_candidate
-from atc.harness import gen_queries, gen_synth
+import atc
+from atc import graph, truss
+from atc.graph import (Graph, QuerySpec, Subgraph, UNREACHABLE, induced_subgraph,
+                       query_distance)
+from atc.greedy import CandidateTrace, bulk_search, replay_candidate
+from atc.harness import gen_queries, gen_synth, plant_attributes
 from atc.index import build_index
 from atc.truss import (
     QUERY_NODE_PRUNED,
@@ -23,6 +27,7 @@ from atc.truss import (
 
 from oracles import (
     adj_of,
+    block_graph,
     oracle_all_pairs,
     oracle_is_kd_truss,
     oracle_maintain,
@@ -333,6 +338,53 @@ class TestMaximalKdTruss:
             assert kd.subgraph.m == sum(map(len, oadj.values())) // 2
             assert kd.sup == compute_supports(kd.subgraph)
 
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_on_random_graphs(self, seed):
+        """On random and block graphs, failing queries included, validity,
+        reason, vertices, edges and supports are the whole ball's."""
+        rng = random.Random(seed)
+        k, d = rng.randint(2, 6), rng.randint(0, 5)
+        if rng.random() < 0.5:
+            g = rand_graph(rng, rng.randint(1, 24), rng.uniform(0.1, 0.8))
+        else:
+            g = block_graph(rng, rng.randint(1, 4), rng.randint(3, 8),
+                            rng.uniform(0.5, 1.0), rng.uniform(0, 0.15))
+        qs = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
+        kd = maximal_kd_truss(g, qs, k, d)
+        oadj, ovalid, oreason = oracle_maximal(adj_of(g), qs, k, d)
+        assert (kd.valid, kd.reason) == (ovalid, oreason)
+        if kd.valid:
+            oedges = {(u, v) for u, ns in oadj.items() for v in ns if u < v}
+            assert set(kd.subgraph.vertices) == set(oadj)
+            assert set(kd.subgraph.edges()) == oedges
+            assert kd.sup == compute_supports(Subgraph(g, oadj, len(oedges)))
+
+    def test_feasible_query_sweeps_no_whole_graph(self, monkeypatch):
+        """A feasible query computes distances only inside what the walk in
+        G reaches: no source_distances call, through any module's binding
+        of it, covers the whole graph."""
+        g, gt = gen_synth(n=300, communities=8, seed=3)
+        plant_attributes(g, gt, rng_seed=3)
+        sizes = []
+        original = graph.source_distances
+
+        def counted(adj, sources):
+            sizes.append(len(adj))
+            return original(adj, sources)
+
+        for info in pkgutil.iter_modules(atc.__path__):
+            module = importlib.import_module(f"atc.{info.name}")
+            if getattr(module, "source_distances", None) is original:
+                monkeypatch.setattr(module, "source_distances", counted)
+        for gq in gen_queries(g, gt, 10, rng_seed=3):
+            q = QuerySpec(frozenset(map(g.internal, gq.nodes)),
+                          frozenset(map(g.attr_id, gq.attrs)))
+            sizes.clear()
+            assert maximal_kd_truss(g, q.query_nodes, q.k, q.d).valid
+            bulk_search(g, q)
+            assert sizes and max(sizes) < g.n
+
     def test_peels_only_the_query_neighbourhood(self, monkeypatch):
         """On planted communities at d = 4 the d-ball is nearly the whole
         graph, yet maintenance starts from a subgraph about the size of the
@@ -374,6 +426,23 @@ class TestMaximalKdTruss:
         clique_a = {g.internal(x) for x in range(6)}
         assert received == [clique_a]
         assert kd.valid and kd.subgraph.adj == oracle_maximal(adj_of(g), qs, 4, 4)[0]
+
+    def test_walk_in_g_stops_d_edges_out(self, monkeypatch):
+        """Along a strip of triangles every edge passes both tests at k = 3,
+        yet at d = 1 maintenance starts from the query node's first level."""
+        g = Graph.from_edges([(i, i + j) for i in range(40) for j in (1, 2)])
+        received = []
+        maintain = truss.maintain_kd_truss
+
+        def record(h, *args, **kwargs):
+            received.append(set(h.vertices))
+            return maintain(h, *args, **kwargs)
+
+        monkeypatch.setattr(truss, "maintain_kd_truss", record)
+        qs = [g.internal(0)]
+        kd = maximal_kd_truss(g, qs, 3, 1)
+        assert received == [{g.internal(x) for x in range(3)}]
+        assert kd.valid and kd.subgraph.adj == oracle_maximal(adj_of(g), qs, 3, 1)[0]
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
