@@ -21,7 +21,7 @@ from .score import (
     removal_set,
     score_of_vertices,
 )
-from .truss import diameter, maintain_kd_truss, maximal_kd_truss
+from .truss import KdTruss, diameter, maintain_kd_truss, maximal_kd_truss
 
 
 class NoFeasibleCommunity(Exception):
@@ -92,15 +92,16 @@ def _finish(trace: CandidateTrace, q: QuerySpec, algo: str, iterations: int,
     )
 
 
-def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick):
+def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick, start=None):
     """The greedy framework: delete pick(h, cands, bd) per round, restore
     the (k,d)-truss, and return the best candidate with its trace.
 
     `cands` lists the non-query vertices of h and `bd` is h's score breakdown.
+    `start`, when given, is the maximal (k,d)-truss of g, or its failure.
     """
     t0 = time.perf_counter()
     q.check_ids(g)
-    kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
+    kd = start or maximal_kd_truss(g, q.query_nodes, q.k, q.d)
     if not kd.valid:
         raise NoFeasibleCommunity(kd.reason)
     h, sup = kd.subgraph, kd.sup
@@ -136,7 +137,8 @@ def bulk_batch_size(n: int, epsilon: Fraction) -> int:
     return max(1, math.ceil(frac))
 
 
-def bulk_search(g: Graph | Subgraph, q: QuerySpec):
+def bulk_search(g: Graph | Subgraph, q: QuerySpec,
+                start: KdTruss | None = None):
     """Each iteration removes the batch of smallest-marginal-gain vertices."""
     def pick(h, cands, bd):
         floor = {u for u, ns in h.adj.items() if len(ns) == q.k - 1}
@@ -153,5 +155,5 @@ def bulk_search(g: Graph | Subgraph, q: QuerySpec):
 
         ranked = sorted(cands, key=lambda v: (gain(v), v))
         return ranked[:bulk_batch_size(h.num_vertices(), q.epsilon)]
-    return _peel(g, q, "bulk", pick)
+    return _peel(g, q, "bulk", pick, start)
 

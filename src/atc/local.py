@@ -25,8 +25,8 @@ from .graph import (
 from .greedy import NoFeasibleCommunity, SearchResult, bulk_search
 from .index import ATIndex, NOT_IN_PROJECTION
 from .score import majority_from_breakdown, score_of_vertices
-from .truss import (QUERY_NODES_DISCONNECTED, edge_key, max_trussness_connecting,
-                    maximal_kd_truss)
+from .truss import (QUERY_NODES_DISCONNECTED, edge_key, maintain_kd_truss,
+                    max_trussness_connecting, maximal_kd_truss)
 
 # minimum possible trussness, used for edges absent from a projection
 TAU_FLOOR = 2
@@ -222,7 +222,8 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
 
 
 def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
-    """Steiner seed -> expansion -> max-trussness restriction -> bulk peel."""
+    """Steiner seed -> expansion -> densest connecting truss -> bulk peel,
+    started from that truss with the supports it counted."""
     t0 = time.perf_counter()
     q.check_ids(g)
     if not q.query_attrs:  # the union of the query nodes' attributes
@@ -230,12 +231,15 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
             *(g.attrs[v] for v in q.query_nodes)))
     seed = steiner_seed(g, idx, q)
     gt = expand_candidate(g, idx, seed, q)
-    k_max, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
+    k_max, gt, sup = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
     if q.k_d_auto:
         q = dataclasses.replace(q, k=max(2, k_max),
                                 d=query_distance(gt, q.query_nodes)[1])
-    # under k_d_auto the core is a (k, d)-truss, so only explicit (k, d) can fail
-    res, _ = bulk_search(gt, q)
+    # for k <= k_max (always under k_d_auto) the core is a k-truss holding the
+    # maximal (k, d)-truss, so maintenance from it, in place, peels no edge
+    start = (maintain_kd_truss(gt, q.query_nodes, q.k, q.d, sup=sup)
+             if q.k <= k_max else None)
+    res, _ = bulk_search(gt, q, start)
     return dataclasses.replace(res, algo="local",
                                wall_time=time.perf_counter() - t0)
 

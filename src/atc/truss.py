@@ -4,7 +4,8 @@ A k-truss is a subgraph where every edge closes at least k-2 triangles.
 One edge-peeling loop serves two jobs: decomposition, for the index, runs
 it once per level k = 3, 4, ... (Wang & Cheng, PVLDB 2012), and (k,d)-truss
 maintenance runs it between query-distance rounds.  The densest connecting
-truss is maintenance, once per level it tries.  The maximal (k,d)-truss
+truss is maintenance, once per level it tries; local search peels on
+from it with the supports that level counted.  The maximal (k,d)-truss
 around the query nodes is maintenance too, started from only the part of G
 that a walk from the query nodes reaches along triangle-supported edges;
 only a query that fails there pays for a distance sweep over all of G.
@@ -272,8 +273,9 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
     >= k, as a (k, d)-truss with d its size: no distance in it exceeds that,
     so the rounds drop exactly the vertices the query nodes cannot reach.
 
-    Returns (k_max, subgraph).  For a single isolated query node, k_max is
-    the vertex trussness 0 and the subgraph is the vertex alone.
+    Returns (k_max, subgraph, its edge supports), none of them below
+    k_max-2.  For a single isolated query node, k_max is the vertex
+    trussness 0 and the subgraph is the vertex alone.
     """
     qs = sorted(set(query_nodes))
     for q in qs:
@@ -282,7 +284,7 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
     top = min(max((edge_tau[edge_key(q, v)] for v in h.adj[q]), default=0)
               for q in qs)
     if top == 0 and len(qs) == 1:
-        return 0, induced_subgraph(h, qs)
+        return 0, induced_subgraph(h, qs), {}
     for k in range(top, 1, -1):
         adj: dict[int, set[int]] = {}
         reach = [qs[0]]  # grows while walked: qs[0]'s component of edges >= k
@@ -293,8 +295,9 @@ def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],
         if any(q not in adj for q in qs):
             continue  # peeling only removes edges
         comp = Subgraph(h.parent, adj, sum(len(s) for s in adj.values()) // 2)
-        if maintain_kd_truss(comp, qs, k, len(adj)).valid and comp.adj[qs[0]]:
-            return k, comp
+        kd = maintain_kd_truss(comp, qs, k, len(adj))
+        if kd.valid and comp.adj[qs[0]]:
+            return k, comp, kd.sup
     raise ValueError("query nodes are disconnected")
 
 

@@ -19,8 +19,10 @@ from atc.local import (
     locatc_search,
     steiner_seed,
 )
-from atc.truss import edge_key, max_trussness_connecting, truss_decompose
-from atc.graph import induced_subgraph, project_on_attribute
+import atc.truss
+from atc.truss import (QUERY_NODES_DISCONNECTED, edge_key,
+                       max_trussness_connecting, truss_decompose)
+from atc.graph import induced_subgraph, project_on_attribute, query_distance
 
 from oracles import (
     attribute_truss_distance,
@@ -339,25 +341,43 @@ class TestExpansionWork:
         assert insertions == 99 and len(calls) == insertions
 
 
-def unpruned_local(g, idx, q):
-    """locatc_search with the expansion crossing every edge: the oracle
-    expansion at floor 0, then the densest connecting truss and the peel."""
+def local_core(g, idx, q, expand=expand_candidate):
+    """The front of locatc_search: `expand` grows the Steiner seed, then the
+    densest connecting truss of that candidate; returns (k_max, core) and
+    the query as the peel reads it."""
     if not q.query_attrs:
         q = dataclasses.replace(q, query_attrs=frozenset().union(
             *(g.attrs[v] for v in q.query_nodes)))
     seed = steiner_seed(g, idx, q)
-    gt = induced_subgraph(g, oracle_expand(g, idx, seed.vertices, q, floor=0))
-    _, gt = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
+    gt = expand(g, idx, seed, q)
+    k_max, gt, _ = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
+    if q.k_d_auto:
+        q = dataclasses.replace(q, k=max(2, k_max),
+                                d=query_distance(gt, q.query_nodes)[1])
+    return k_max, gt, q
+
+
+def recounting_local(g, idx, q, expand=expand_candidate):
+    """locatc_search with the peel recounting its start: bulk_search from
+    the core alone finds the maximal (k,d)-truss in it from scratch."""
+    _, gt, q = local_core(g, idx, q, expand)
     return bulk_search(gt, q)[0]
 
 
+def unpruned_expand(g, idx, seed, q):
+    """The oracle expansion crossing every edge, at floor 0."""
+    return induced_subgraph(g, oracle_expand(g, idx, seed.vertices, q, floor=0))
+
+
 def outcome(search):
-    """The fields a search result is compared on, or None when infeasible."""
+    """The fields a search result is compared on, or the reason it is
+    infeasible."""
     try:
         res = search()
-    except NoFeasibleCommunity:
-        return None
-    return res.vertices, res.edges, res.score, res.k, res.d, res.iterations
+    except NoFeasibleCommunity as exc:
+        return exc.reason
+    return (res.vertices, res.edges, res.score, res.k, res.d, res.iterations,
+            res.query_dist, res.diameter)
 
 
 def random_block_graph(rng):
@@ -412,7 +432,14 @@ class TestFrontierPruning:
         q = random_block_query(rng, g, size, k=rng.randint(2, 6),
                                d=rng.randint(0, 5), eta=rng.choice([g.n, 1000]))
         got = outcome(lambda: locatc_search(g, idx, q))
-        assert got == outcome(lambda: unpruned_local(g, idx, q))
+        want = outcome(lambda: recounting_local(g, idx, q, unpruned_expand))
+        if got != want:
+            # above the candidate's k_max no k-truss of it connects the query
+            # nodes, and the sweep that names the failure runs in the
+            # candidate, which the pruning shrinks: both fail, maybe for
+            # different reasons
+            assert isinstance(got, str) and isinstance(want, str)
+            assert q.k > local_core(g, idx, q)[0]
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=100, deadline=None)
@@ -443,6 +470,55 @@ class TestFrontierPruning:
             seed = steiner_seed(g, idx, q)
             sizes.append(expand_candidate(g, idx, seed, q).num_vertices())
         assert max(sizes) <= 50, sizes
+
+
+class TestPeelFromCore:
+    """The bulk peel of local search starts from the densest connecting
+    truss with the supports counted there, and gives what recounting the
+    maximal (k,d)-truss inside that core gives."""
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_recounting_peel(self, seed_int):
+        rng = random.Random(seed_int)
+        g, size = random_block_graph(rng)
+        idx = build_index(g)
+        q = random_block_query(rng, g, size, k=rng.randint(2, 6),
+                               d=rng.randint(0, 5),
+                               eta=rng.choice([g.n, rng.randint(3, g.n)]),
+                               k_d_auto=rng.random() < 0.25)
+        got = outcome(lambda: locatc_search(g, idx, q))
+        assert got == outcome(lambda: recounting_local(g, idx, q))
+
+    def count_calls(self, monkeypatch):
+        calls = {"compute_supports": 0, "_walk": 0}
+        for name in calls:
+            fn = getattr(atc.truss, name)
+
+            def counted(*a, _fn=fn, _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(atc.truss, name, counted)
+        return calls
+
+    def test_feasible_query_counts_supports_once(self, monkeypatch):
+        """The core is accepted at its first level, and neither the start
+        nor the peel counts a support again or walks."""
+        g = two_attr_cliques()
+        idx = build_index(g)
+        calls = self.count_calls(monkeypatch)
+        res = locatc_search(g, idx, spec(g, [0, 1], ["x"], k=4, d=2))
+        assert res.vertices == {g.internal(v) for v in range(5)}
+        assert calls == {"compute_supports": 1, "_walk": 0}
+
+    @pytest.mark.parametrize("nodes, d", [([0, 1], 2), ([0, 9], 9)])
+    def test_k_above_core_keeps_recounted_reason(self, nodes, d):
+        """Above the core's k_max = 5 the peel recounts in the core, and
+        its failure reason is the one that sweep gives."""
+        g = two_attr_cliques()
+        with pytest.raises(NoFeasibleCommunity) as exc:
+            locatc_search(g, build_index(g), spec(g, nodes, ["x"], k=6, d=d))
+        assert exc.value.reason == QUERY_NODES_DISCONNECTED
 
 
 class TestUnknownAttribute:

@@ -475,18 +475,18 @@ class TestMaximalKdTruss:
 class TestMaxTrussnessConnecting:
     def test_clique(self):
         g = clique(5)
-        k, sub = max_trussness_connecting(g, [0, 3],
-                                          truss_decompose(g))
+        k, sub, _ = max_trussness_connecting(g, [0, 3],
+                                             truss_decompose(g))
         assert k == 5 and set(sub.vertices) == set(range(5))
 
     def test_single_node_vertex_trussness(self):
         g = Graph.from_edges(list(itertools.combinations([0, 1, 2, 3], 2))
                              + [(3, 4)])
-        k, _ = max_trussness_connecting(g, [g.internal(0)],
-                                        truss_decompose(g))
+        k, _, _ = max_trussness_connecting(g, [g.internal(0)],
+                                           truss_decompose(g))
         assert k == 4
-        k2, _ = max_trussness_connecting(g, [g.internal(4)],
-                                         truss_decompose(g))
+        k2, _, _ = max_trussness_connecting(g, [g.internal(4)],
+                                            truss_decompose(g))
         assert k2 == 2
 
     def test_disconnected_error(self):
@@ -511,8 +511,8 @@ class TestMaxTrussnessConnecting:
                 max_trussness_connecting(g, [a, b],
                                          truss_decompose(g))
             return
-        k, sub = max_trussness_connecting(g, [a, b],
-                                          truss_decompose(g))
+        k, sub, _ = max_trussness_connecting(g, [a, b],
+                                             truss_decompose(g))
         tau = oracle_truss(adj_of(g))
         best = 2
         for kk in range(max(tau.values()), 1, -1):
@@ -559,11 +559,14 @@ class TestMaxTrussnessConnecting:
             with pytest.raises(ValueError):
                 max_trussness_connecting(h, qs, bound)
             return
-        got_k, sub = max_trussness_connecting(h, qs, bound)
+        got_k, sub, sup = max_trussness_connecting(h, qs, bound)
         assert got_k == k
         assert set(sub.vertices) == set(adj)
         assert sub.adj == adj
         assert sub.m == sum(len(ns) for ns in adj.values()) // 2
+        # the supports handed on to the peel are the core's own, a k-truss's
+        assert sup == compute_supports(sub)
+        assert all(s >= k - 2 for s in sup.values())
 
 
 class TestDiameter:
