@@ -21,7 +21,8 @@ from .score import (
     removal_set,
     score_of_vertices,
 )
-from .truss import KdTruss, diameter, maintain_kd_truss, maximal_kd_truss
+from .truss import (NO_KD_TRUSS, KdTruss, diameter, maintain_kd_truss,
+                    maximal_kd_truss)
 
 
 class NoFeasibleCommunity(Exception):
@@ -103,7 +104,7 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick, start=None):
     q.check_ids(g)
     kd = start or maximal_kd_truss(g, q.query_nodes, q.k, q.d)
     if not kd.valid:
-        raise NoFeasibleCommunity(kd.reason)
+        raise NoFeasibleCommunity(NO_KD_TRUSS)
     h, sup = kd.subgraph, kd.sup
     parent = h.parent
     bd = score_of_vertices(parent, h.vertices, q.query_attrs)

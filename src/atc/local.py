@@ -25,7 +25,7 @@ from .graph import (
 from .greedy import NoFeasibleCommunity, SearchResult, bulk_search
 from .index import ATIndex, NOT_IN_PROJECTION
 from .score import majority_from_breakdown, score_of_vertices
-from .truss import (QUERY_NODES_DISCONNECTED, edge_key, maintain_kd_truss,
+from .truss import (NO_KD_TRUSS, edge_key, maintain_kd_truss,
                     max_trussness_connecting, maximal_kd_truss)
 
 # minimum possible trussness, used for edges absent from a projection
@@ -111,7 +111,7 @@ def steiner_seed(g: Graph, idx: ATIndex, q: QuerySpec) -> SteinerSeed:
         costs, parents[a] = _dijkstra(g, a, weight, later)
         for b in later:
             if b not in costs:
-                raise NoFeasibleCommunity(QUERY_NODES_DISCONNECTED)
+                raise NoFeasibleCommunity(NO_KD_TRUSS)
             closure.append((costs[b], a, b))
     union_edges: set[tuple[int, int]] = set()
     for a, b in _kruskal((a, b) for _, a, b in sorted(closure)):
@@ -223,7 +223,7 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
 
 def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
     """Steiner seed -> expansion -> densest connecting truss -> bulk peel,
-    started from that truss with the supports it counted."""
+    started from that truss."""
     t0 = time.perf_counter()
     q.check_ids(g)
     if not q.query_attrs:  # the union of the query nodes' attributes
@@ -235,10 +235,11 @@ def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
     if q.k_d_auto:
         q = dataclasses.replace(q, k=max(2, k_max),
                                 d=query_distance(gt, q.query_nodes)[1])
-    # for k <= k_max (always under k_d_auto) the core is a k-truss holding the
-    # maximal (k, d)-truss, so maintenance from it, in place, peels no edge
-    start = (maintain_kd_truss(gt, q.query_nodes, q.k, q.d, sup=sup)
-             if q.k <= k_max else None)
+    # the core holds the maximal (k, d)-truss; for k <= k_max (always under
+    # k_d_auto) it is a k-truss, so maintenance from it, in place, with its
+    # supports, peels no edge; above k_max the supports are recounted
+    start = maintain_kd_truss(gt, q.query_nodes, q.k, q.d,
+                              sup=sup if q.k <= k_max else None)
     res, _ = bulk_search(gt, q, start)
     return dataclasses.replace(res, algo="local",
                                wall_time=time.perf_counter() - t0)
@@ -261,7 +262,7 @@ def classify_query(g: Graph, q: QuerySpec) -> QueryClassification:
     """
     q.check_ids(g)
     kd = maximal_kd_truss(g, q.query_nodes, q.k, q.d)
-    reason = kd.reason  # None when valid
+    reason = None if kd.valid else NO_KD_TRUSS
     if kd.valid and q.query_attrs and not score_of_vertices(
             g, kd.subgraph.vertices, q.query_attrs).squares:
         reason = ZERO_SCORE

@@ -7,8 +7,8 @@ maintenance runs it between query-distance rounds.  The densest connecting
 truss is maintenance, once per level it tries; local search peels on
 from it with the supports that level counted.  The maximal (k,d)-truss
 around the query nodes is maintenance too, started from only the part of G
-that a walk from the query nodes reaches along triangle-supported edges;
-only a query that fails there pays for a distance sweep over all of G.
+that a walk from the query nodes reaches along triangle-supported edges, so
+no distance is computed outside that walk.
 """
 from __future__ import annotations
 
@@ -19,14 +19,13 @@ from typing import Iterable, Optional
 from .graph import (
     Graph,
     Subgraph,
-    UNREACHABLE,
     induced_subgraph,
     query_distance,
     source_distances,
 )
 
-QUERY_NODE_PRUNED = "query_node_pruned"
-QUERY_NODES_DISCONNECTED = "query_nodes_disconnected"
+# the one failure reason: no (k,d)-truss holds the query nodes
+NO_KD_TRUSS = "no_kd_truss"
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -91,21 +90,7 @@ class KdTruss:
     """Result of (k,d)-truss maintenance; subgraph is None when invalid."""
     subgraph: Optional[Subgraph]
     valid: bool
-    reason: Optional[str] = None
     sup: Optional[dict] = None  # the subgraph's edge supports, when valid
-
-
-def _query_verdict(h: Graph | Subgraph, qs: list[int], d: int):
-    """(query distances, None) when every query node is in h within
-    distance d of the others, else (None, why not)."""
-    if any(not h.has_vertex(q) for q in qs):
-        return None, QUERY_NODE_PRUNED
-    dist, _ = query_distance(h, qs)
-    if any(dist[q] > d for q in qs):
-        if any(dist[q] == UNREACHABLE for q in qs):
-            return None, QUERY_NODES_DISCONNECTED
-        return None, QUERY_NODE_PRUNED
-    return dist, None
 
 
 def _drop_vertex(h: Subgraph, sup: dict, v: int, thr: int, pending: list,
@@ -137,8 +122,8 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
     First deletes the vertices in `drop`.  Then alternates edge-support
     peeling (threshold k-2) and query-distance rounds (threshold d,
     distances recomputed inside the surviving subgraph) until a fixpoint.
-    Invalid when a query node gets pruned or the query nodes end up in
-    different components; the two cases are reported distinctly.
+    Invalid when a query node gets pruned or is farther than d from
+    another, disconnected included.
 
     `sup`, when given, must hold h's edge supports with none below k-2, as
     a valid result's `sup` does; it is kept equal to the supports of h and
@@ -162,9 +147,11 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
     pending = deque(sorted(weak))
     while True:
         _peel_edges(h, sup, thr, pending, events)
-        dist, reason = _query_verdict(h, qs, d)
-        if reason is not None:
-            return KdTruss(None, False, reason)
+        if not all(map(h.has_vertex, qs)):
+            return KdTruss(None, False)
+        dist, _ = query_distance(h, qs)
+        if any(dist[q] > d for q in qs):
+            return KdTruss(None, False)
         far = sorted(v for v, dv in dist.items() if dv > d)
         if not far:
             return KdTruss(h, True, sup=sup)
@@ -172,13 +159,10 @@ def maintain_kd_truss(h: Subgraph, query_nodes: Iterable[int], k: int, d: int,
             _drop_vertex(h, sup, v, thr, pending, events)
 
 
-def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
-          ball: Optional[set[int]] = None) -> Subgraph:
+def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int) -> Subgraph:
     """The subgraph g induces on what a walk from all query nodes at once
-    reaches along edges that pass two triangle tests, with supports counted
-    in g, or in the subgraph `ball` induces when given.  In g the walk stops
-    d edges out; in the ball it does not, so the ball's components stay
-    whole.
+    reaches, d edges out, along edges that pass two triangle tests, with
+    supports counted in g.
 
     The first test is a support of at least k-2.  The second asks that in
     k-2 of those triangles both other edges pass the first too; it stops
@@ -192,7 +176,7 @@ def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
 
     def nbrs(u):
         if u not in nb:
-            nb[u] = set(g.adj[u]) if ball is None else ball.intersection(g.adj[u])
+            nb[u] = set(g.adj[u])
         return nb[u]
 
     def support(u, v):
@@ -202,8 +186,6 @@ def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
         return tri[e]
 
     def passes(u, v):
-        if k <= 2:
-            return True  # every edge closes at least k-2 triangles
         s = support(u, v)
         if s < k - 2 or s >= 2 * (k - 2):
             return s >= k - 2
@@ -213,7 +195,7 @@ def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
     reach = list(qs)  # grows while walked, one level at a time
     seen = set(qs)
     lo, level = 0, 0
-    while lo < len(reach) and (ball is not None or level < d):
+    while lo < len(reach) and level < d:
         hi, level = len(reach), level + 1
         for u in reach[lo:hi]:
             for v in nbrs(u):
@@ -222,8 +204,7 @@ def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
                     reach.append(v)
         lo = hi
     adj = {u: nbrs(u) for u in reach}  # the last level was not walked from
-    # else every neighbour in the universe was reached
-    if len(seen) < (g.num_vertices() if ball is None else len(ball)):
+    if len(seen) < g.num_vertices():  # else every neighbour was reached
         for nu in adj.values():
             nu &= seen
     return Subgraph(g.parent, adj, sum(map(len, adj.values())) // 2)
@@ -232,34 +213,27 @@ def _walk(g: Graph | Subgraph, qs: list[int], k: int, d: int,
 def maximal_kd_truss(g: Graph | Subgraph, query_nodes: Iterable[int], k: int,
                      d: int) -> KdTruss:
     """Maximal (k,d)-truss T of the d-ball, the vertices within distance d
-    of every query node.  g is only read.
+    of every query node, or its absence.  g is only read.
 
     Each edge of T closes k-2 triangles inside T, so it passes both tests
-    of `_walk` with supports counted in g or in the ball (the containment
-    argument of Huang et al., SIGMOD 2014), and each vertex of T is within
-    d of the query nodes along T's edges, so the walk reaches all of T.  T
-    is unique, and maintenance from any subgraph holding it ends at it, so
-    a valid result and its supports do not depend on the start: it is the
-    walk in g, and no distance is computed outside that.
-
-    A failure's reason does depend on the start.  So a query whose
-    maintenance fails pays for the sweep over g, which rules on the query
-    nodes' distances, and for maintenance from the walk inside the ball;
-    the rest of the ball would be peeled, or dropped as unreachable in the
-    first distance round, without changing the query nodes' components.
-    k <= 2 takes this path at once: every edge passes there, so the walk in
-    g would take in each query node's own d-ball.
+    of `_walk` with supports counted in g (the containment argument of
+    Huang et al., SIGMOD 2014), and each vertex of T is within d of the
+    query nodes along T's edges, so the walk reaches all of T.  T is
+    unique, and maintenance from any subgraph holding it ends at it, or
+    fails where there is no T: the result does not depend on the start, so
+    it is the walk in g, and no distance is computed outside that.  At
+    k <= 2 every edge passes, so the walk would take in the union of the
+    query nodes' own d-balls; one sweep over g finds the d-ball instead,
+    and maintenance starts from that.
     """
     qs = sorted(set(query_nodes))
-    if k > 2 and all(map(g.has_vertex, qs)):
-        kd = maintain_kd_truss(_walk(g, qs, k, d), qs, k, d)
-        if kd.valid:
-            return kd
-    dist, reason = _query_verdict(g, qs, d)
-    if reason is not None:
-        return KdTruss(None, False, reason)
-    ball = {v for v, dv in dist.items() if dv <= d}
-    return maintain_kd_truss(_walk(g, qs, k, d, ball), qs, k, d)
+    if not all(map(g.has_vertex, qs)):
+        return KdTruss(None, False)
+    if k > 2:
+        return maintain_kd_truss(_walk(g, qs, k, d), qs, k, d)
+    dist, _ = query_distance(g, qs)
+    ball = induced_subgraph(g, [v for v, dv in dist.items() if dv <= d])
+    return maintain_kd_truss(ball, qs, k, d)
 
 
 def max_trussness_connecting(h: Subgraph, query_nodes: Iterable[int],

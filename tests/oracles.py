@@ -135,7 +135,8 @@ def oracle_query_distance(adj, query_nodes):
 def oracle_maintain(adj: dict[int, set[int]], query_nodes, k: int, d: int):
     """Naive fixpoint: full support/distance recomputation every round.
 
-    Returns (adjacency, valid, reason) mirroring maintain_kd_truss.
+    Returns (adjacency, valid, reason): the reason is None when valid, else
+    "no_kd_truss", the one failure reason of the library.
     """
     adj = {v: set(ns) for v, ns in adj.items()}
     qs = sorted(set(query_nodes))
@@ -150,14 +151,11 @@ def oracle_maintain(adj: dict[int, set[int]], query_nodes, k: int, d: int):
                 adj[u].discard(v)
                 adj[v].discard(u)
             changed = True
-        for q in qs:
-            if q not in adj:
-                return adj, False, "query_node_pruned"
+        if any(q not in adj for q in qs):
+            return adj, False, "no_kd_truss"
         dist = oracle_query_distance(adj, qs)
-        if any(dist[q] > d for q in qs):
-            if any(dist[q] == UNREACHABLE for q in qs):
-                return adj, False, "query_nodes_disconnected"
-            return adj, False, "query_node_pruned"
+        if any(dist[q] > d for q in qs):  # disconnected included
+            return adj, False, "no_kd_truss"
         far = [v for v, dv in dist.items() if dv > d]
         for v in far:
             for u in adj.pop(v):
@@ -169,18 +167,15 @@ def oracle_maintain(adj: dict[int, set[int]], query_nodes, k: int, d: int):
 
 def oracle_maximal(adj: dict[int, set[int]], query_nodes, k: int, d: int):
     """maximal_kd_truss from the whole d-ball: it rules on the query
-    distances of the whole graph first, then runs the fixpoint on the d-ball,
-    so a query pair too far apart is pruned even if peeling would cut it.
+    distances of the whole graph first, then runs the fixpoint on the d-ball.
 
     Returns (adjacency, valid, reason) mirroring oracle_maintain; the
     adjacency is None when the whole graph already rules the query out.
     """
     qs = sorted(set(query_nodes))
     dist = oracle_query_distance(adj, qs)
-    if any(dist[q] == UNREACHABLE for q in qs):
-        return None, False, "query_nodes_disconnected"
     if any(dist[q] > d for q in qs):
-        return None, False, "query_node_pruned"
+        return None, False, "no_kd_truss"
     ball = {v for v, dv in dist.items() if dv <= d}
     return oracle_maintain({v: adj[v] & ball for v in ball}, qs, k, d)
 

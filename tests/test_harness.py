@@ -25,6 +25,7 @@ from atc.harness import (
     write_truth,
 )
 from atc.greedy import NoFeasibleCommunity, bulk_search
+from atc.truss import NO_KD_TRUSS
 
 from oracles import brute_force_atc, brute_force_atc_alt, rand_graph
 
@@ -274,7 +275,7 @@ class TestEvaluateAndFiles:
         queries = gen_queries(g, gt, 4, rng_seed=13)
 
         def run(g_, q):
-            raise NoFeasibleCommunity("query_node_pruned")
+            raise NoFeasibleCommunity(NO_KD_TRUSS)
         rep = evaluate(g, gt, queries, run)
         assert [(r.query, r.status, r.f1, r.found_size) for r in rep.rows] == [
             (gq, "infeasible", 0, 0) for gq in queries]

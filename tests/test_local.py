@@ -20,8 +20,8 @@ from atc.local import (
     steiner_seed,
 )
 import atc.truss
-from atc.truss import (QUERY_NODES_DISCONNECTED, edge_key,
-                       max_trussness_connecting, truss_decompose)
+from atc.truss import (NO_KD_TRUSS, edge_key, max_trussness_connecting,
+                       truss_decompose)
 from atc.graph import induced_subgraph, project_on_attribute, query_distance
 
 from oracles import (
@@ -256,7 +256,7 @@ class TestEquivalenceWithOracles:
         if want is None:
             with pytest.raises(NoFeasibleCommunity) as exc:
                 steiner_seed(g, idx, q)
-            assert exc.value.reason == "query_nodes_disconnected"
+            assert exc.value.reason == NO_KD_TRUSS
             return
         assert steiner_seed(g, idx, q) == SteinerSeed(*want)
 
@@ -431,15 +431,8 @@ class TestFrontierPruning:
         idx = build_index(g)
         q = random_block_query(rng, g, size, k=rng.randint(2, 6),
                                d=rng.randint(0, 5), eta=rng.choice([g.n, 1000]))
-        got = outcome(lambda: locatc_search(g, idx, q))
-        want = outcome(lambda: recounting_local(g, idx, q, unpruned_expand))
-        if got != want:
-            # above the candidate's k_max no k-truss of it connects the query
-            # nodes, and the sweep that names the failure runs in the
-            # candidate, which the pruning shrinks: both fail, maybe for
-            # different reasons
-            assert isinstance(got, str) and isinstance(want, str)
-            assert q.k > local_core(g, idx, q)[0]
+        assert (outcome(lambda: locatc_search(g, idx, q))
+                == outcome(lambda: recounting_local(g, idx, q, unpruned_expand)))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=100, deadline=None)
@@ -512,13 +505,28 @@ class TestPeelFromCore:
         assert calls == {"compute_supports": 1, "_walk": 0}
 
     @pytest.mark.parametrize("nodes, d", [([0, 1], 2), ([0, 9], 9)])
-    def test_k_above_core_keeps_recounted_reason(self, nodes, d):
-        """Above the core's k_max = 5 the peel recounts in the core, and
-        its failure reason is the one that sweep gives."""
+    def test_k_above_core_recounts_and_fails(self, nodes, d):
+        """Above the core's k_max = 5 the peel recounts the supports in the
+        core, finds no (k,d)-truss there, and fails with the one reason."""
         g = two_attr_cliques()
         with pytest.raises(NoFeasibleCommunity) as exc:
             locatc_search(g, build_index(g), spec(g, nodes, ["x"], k=6, d=d))
-        assert exc.value.reason == QUERY_NODES_DISCONNECTED
+        assert exc.value.reason == NO_KD_TRUSS
+
+    @pytest.mark.parametrize("algo", ["basic", "bulk", "local"])
+    def test_lone_query_node_above_every_trussness(self, algo):
+        """A vertex without edges is a (k,d)-truss for every k, so a single
+        query node at k = 12, above every trussness of G, comes back alone."""
+        g = two_attr_cliques()
+        idx = build_index(g)
+        q = spec(g, [0], ["x"], k=12, d=2)
+        assert max(idx.edge_truss.values()) < q.k
+        search = {"basic": lambda: basic_search(g, q)[0],
+                  "bulk": lambda: bulk_search(g, q)[0],
+                  "local": lambda: locatc_search(g, idx, q)}[algo]
+        res = search()
+        assert (res.vertices, res.edges) == ({g.internal(0)}, ())
+        assert (res.score, res.query_dist, res.diameter) == (1, 0, 0)
 
 
 class TestUnknownAttribute:
@@ -653,7 +661,7 @@ class TestClassifyQuery:
         g = Graph.from_edges(edges)
         g.attach_attributes({v: ["x"] for v in range(8)})
         cls = classify_query(g, spec(g, [0, 4], ["x"], k=3, d=3))
-        assert cls.reason == "query_nodes_disconnected"
+        assert cls.reason == NO_KD_TRUSS
         # partition loop splits the query into the two components
         node_groups = [set(n) for n, _ in cls.suggestions]
         assert {g.internal(0)} in node_groups or any(

@@ -10,12 +10,12 @@ import atc
 from atc import graph, truss
 from atc.graph import (Graph, QuerySpec, Subgraph, UNREACHABLE, induced_subgraph,
                        query_distance)
-from atc.greedy import CandidateTrace, bulk_search, replay_candidate
+from atc.greedy import (CandidateTrace, NoFeasibleCommunity, bulk_search,
+                        replay_candidate)
 from atc.harness import gen_queries, gen_synth, plant_attributes
 from atc.index import build_index
 from atc.truss import (
-    QUERY_NODE_PRUNED,
-    QUERY_NODES_DISCONNECTED,
+    NO_KD_TRUSS,
     compute_supports,
     diameter,
     is_kd_truss,
@@ -41,6 +41,13 @@ from oracles import (
 
 def clique(n):
     return Graph.from_edges(itertools.combinations(range(n), 2))
+
+
+def failure_reason(g, qs, k, d, kd):
+    """The reason a search started from the invalid result kd fails with."""
+    with pytest.raises(NoFeasibleCommunity) as exc:
+        bulk_search(g, QuerySpec(frozenset(qs), k=k, d=d), kd)
+    return exc.value.reason
 
 
 class TestSupports:
@@ -154,15 +161,16 @@ class TestMaintain:
         assert kd.valid and kd.subgraph.num_vertices() == 1
 
     def test_query_node_pruned_reason(self):
+        """Peeling cuts query node 3 off: invalid, and nothing is returned."""
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
         kd = maintain_kd_truss(g.copy(), [g.internal(0), g.internal(3)], 3, 1)
-        assert not kd.valid
-        assert kd.reason in (QUERY_NODE_PRUNED, QUERY_NODES_DISCONNECTED)
+        assert (kd.valid, kd.subgraph, kd.sup) == (False, None, None)
 
     def test_disconnected_reason(self):
+        """Query nodes in different components fail as a pruned one does."""
         g = Graph.from_edges([(0, 1), (2, 3)])
         kd = maintain_kd_truss(g.copy(), [g.internal(0), g.internal(2)], 2, 5)
-        assert not kd.valid and kd.reason == QUERY_NODES_DISCONNECTED
+        assert (kd.valid, kd.subgraph, kd.sup) == (False, None, None)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_stranded_component_dropped(self, k):
@@ -194,15 +202,16 @@ class TestMaintain:
             assert mine == theirs
             assert set(kd.subgraph.vertices) == set(oadj)
         else:
-            assert kd.reason == oreason
-        # the d-ball cut changes the reason at most, never the truss
+            assert failure_reason(g, qs, k, d, kd) == oreason == NO_KD_TRUSS
+        # the d-ball cut changes neither the truss nor whether there is one
         mk = maximal_kd_truss(g, qs, k, d)
-        assert mk.valid == ovalid
+        _, mvalid, mreason = oracle_maximal(adj_of(g), qs, k, d)
+        assert mk.valid == mvalid == ovalid
         if mk.valid:
             assert set(mk.subgraph.edges()) == mine
             assert set(mk.subgraph.vertices) == set(oadj)
         else:
-            assert mk.reason == oracle_maximal(adj_of(g), qs, k, d)[2]
+            assert failure_reason(g, qs, k, d, mk) == mreason == NO_KD_TRUSS
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=80, deadline=None)
@@ -227,7 +236,7 @@ class TestMaintain:
                 fresh.remove_vertex(v)
             expect = maintain_kd_truss(fresh, qs, k, d)
             kd = maintain_kd_truss(h, qs, k, d, sup=kd.sup, drop=drop)
-            assert (kd.valid, kd.reason) == (expect.valid, expect.reason)
+            assert kd.valid == expect.valid
             if kd.valid:
                 assert h.adj == fresh.adj and h.m == fresh.m
 
@@ -294,8 +303,8 @@ class TestMaximalKdTruss:
     @given(st.integers(0, 2**30))
     @settings(max_examples=300, deadline=None)
     def test_matches_whole_ball_oracle(self, seed):
-        """The walk leaves part of the d-ball out, and the result, its
-        reason and its supports are still the whole ball's.
+        """The walk leaves part of the d-ball out, and the result, whether
+        there is one, and its supports are still the whole ball's.
 
         Each graph has one or two dense blocks; a chain of cliques, each
         sharing a vertex with the next, whose ends a plain edge may join, so
@@ -332,8 +341,10 @@ class TestMaximalKdTruss:
         qs = {g.internal(x) for x in qs}
         kd = maximal_kd_truss(g, qs, k, d)
         oadj, ovalid, oreason = oracle_maximal(adj_of(g), qs, k, d)
-        assert (kd.valid, kd.reason) == (ovalid, oreason)
-        if kd.valid:
+        assert kd.valid == ovalid
+        if not kd.valid:
+            assert failure_reason(g, qs, k, d, kd) == oreason == NO_KD_TRUSS
+        else:
             assert kd.subgraph.adj == oadj
             assert kd.subgraph.m == sum(map(len, oadj.values())) // 2
             assert kd.sup == compute_supports(kd.subgraph)
@@ -342,7 +353,8 @@ class TestMaximalKdTruss:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_on_random_graphs(self, seed):
         """On random and block graphs, failing queries included, validity,
-        reason, vertices, edges and supports are the whole ball's."""
+        vertices, edges and supports are the whole ball's, and a failure's
+        reason is the one reason."""
         rng = random.Random(seed)
         k, d = rng.randint(2, 6), rng.randint(0, 5)
         if rng.random() < 0.5:
@@ -353,8 +365,10 @@ class TestMaximalKdTruss:
         qs = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
         kd = maximal_kd_truss(g, qs, k, d)
         oadj, ovalid, oreason = oracle_maximal(adj_of(g), qs, k, d)
-        assert (kd.valid, kd.reason) == (ovalid, oreason)
-        if kd.valid:
+        assert kd.valid == ovalid
+        if not kd.valid:
+            assert failure_reason(g, qs, k, d, kd) == oreason == NO_KD_TRUSS
+        else:
             oedges = {(u, v) for u, ns in oadj.items() for v in ns if u < v}
             assert set(kd.subgraph.vertices) == set(oadj)
             assert set(kd.subgraph.edges()) == oedges
