@@ -1,11 +1,15 @@
-"""Index-accelerated local search: Steiner seeding, majority-guided
-expansion, and bad-query handling.
+"""Index-accelerated local search: the k-truss component, Steiner seeding,
+majority-guided expansion, and bad-query handling.
 
-The Steiner seed connects the query nodes under the attribute truss distance
-(edges in high-trussness regions of the relevant projections are cheaper),
-the seed is expanded by repeatedly inserting the most promising frontier
-vertex until the size cap, cut to its densest truss around the query nodes
-(peeled from the index's trussness), and shrunk by bulk peeling.
+With an explicit k, the candidate is the first query node's component of
+the edges of index trussness >= k, as in the k-truss index of Huang et al.
+(SIGMOD 2014), when it holds every query node within eta vertices.  Under
+k_d_auto, or past eta, the Steiner seed connects the query nodes under the
+attribute truss distance (edges in high-trussness regions of the relevant
+projections are cheaper) and is expanded by repeatedly inserting the most
+promising frontier vertex until the size cap.  Either candidate is cut to
+its densest truss around the query nodes (peeled from the index's
+trussness) and shrunk by bulk peeling.
 """
 from __future__ import annotations
 
@@ -221,16 +225,39 @@ def expand_candidate(g: Graph, idx: ATIndex, seed: SteinerSeed,
     return induced_subgraph(g, members)
 
 
+def k_component(g: Graph, idx: ATIndex, v: int, k: int, cap: int):
+    """v's component of the edges of index trussness >= k in G, or None
+    once it passes cap vertices."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w not in comp and idx.structural_edge(u, w) >= k:
+                if len(comp) == cap:
+                    return None
+                comp.add(w)
+                stack.append(w)
+    return comp
+
+
 def locatc_search(g: Graph, idx: ATIndex, q: QuerySpec) -> SearchResult:
-    """Steiner seed -> expansion -> densest connecting truss -> bulk peel,
-    started from that truss."""
+    """k-truss component of the first query node (or, under k_d_auto or
+    past eta, Steiner seed -> expansion) -> densest connecting truss ->
+    bulk peel, started from that truss."""
     t0 = time.perf_counter()
     q.check_ids(g)
     if not q.query_attrs:  # the union of the query nodes' attributes
         q = dataclasses.replace(q, query_attrs=frozenset().union(
             *(g.attrs[v] for v in q.query_nodes)))
-    seed = steiner_seed(g, idx, q)
-    gt = expand_candidate(g, idx, seed, q)
+    comp = None if q.k_d_auto else k_component(
+        g, idx, min(q.query_nodes), q.k, q.eta)
+    if comp is None:
+        gt = expand_candidate(g, idx, steiner_seed(g, idx, q), q)
+    elif q.query_nodes <= comp:
+        gt = induced_subgraph(g, comp)
+    else:  # a (k,d)-truss holding V_q is a connected k-truss of G: inside comp
+        raise NoFeasibleCommunity(NO_KD_TRUSS)
     k_max, gt, sup = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
     if q.k_d_auto:
         q = dataclasses.replace(q, k=max(2, k_max),

@@ -16,12 +16,13 @@ from atc.local import (
     SteinerSeed,
     classify_query,
     expand_candidate,
+    k_component,
     locatc_search,
     steiner_seed,
 )
 import atc.truss
-from atc.truss import (NO_KD_TRUSS, edge_key, max_trussness_connecting,
-                       truss_decompose)
+from atc.truss import (NO_KD_TRUSS, edge_key, maintain_kd_truss,
+                       max_trussness_connecting, truss_decompose)
 from atc.graph import induced_subgraph, project_on_attribute, query_distance
 
 from oracles import (
@@ -342,26 +343,36 @@ class TestExpansionWork:
 
 
 def local_core(g, idx, q, expand=expand_candidate):
-    """The front of locatc_search: `expand` grows the Steiner seed, then the
-    densest connecting truss of that candidate; returns (k_max, core) and
-    the query as the peel reads it."""
+    """The front of locatc_search through the seed on every query: `expand`
+    grows the Steiner seed, then the densest connecting truss of that
+    candidate; returns (k_max, core, its supports) and the query as the
+    peel reads it."""
     if not q.query_attrs:
         q = dataclasses.replace(q, query_attrs=frozenset().union(
             *(g.attrs[v] for v in q.query_nodes)))
     seed = steiner_seed(g, idx, q)
     gt = expand(g, idx, seed, q)
-    k_max, gt, _ = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
+    k_max, gt, sup = max_trussness_connecting(gt, q.query_nodes, idx.edge_truss)
     if q.k_d_auto:
         q = dataclasses.replace(q, k=max(2, k_max),
                                 d=query_distance(gt, q.query_nodes)[1])
-    return k_max, gt, q
+    return k_max, gt, sup, q
 
 
 def recounting_local(g, idx, q, expand=expand_candidate):
     """locatc_search with the peel recounting its start: bulk_search from
     the core alone finds the maximal (k,d)-truss in it from scratch."""
-    _, gt, q = local_core(g, idx, q, expand)
+    _, gt, _, q = local_core(g, idx, q, expand)
     return bulk_search(gt, q)[0]
+
+
+def seeded_local(g, idx, q):
+    """locatc_search without the k-truss component: seed -> expansion ->
+    densest connecting truss -> maintenance from it -> bulk peel."""
+    k_max, gt, sup, q = local_core(g, idx, q)
+    start = maintain_kd_truss(gt, q.query_nodes, q.k, q.d,
+                              sup=sup if q.k <= k_max else None)
+    return bulk_search(gt, q, start)[0]
 
 
 def unpruned_expand(g, idx, seed, q):
@@ -465,6 +476,19 @@ class TestFrontierPruning:
         assert max(sizes) <= 50, sizes
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of module to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*a, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestPeelFromCore:
     """The bulk peel of local search starts from the densest connecting
     truss with the supports counted there, and gives what recounting the
@@ -483,23 +507,12 @@ class TestPeelFromCore:
         got = outcome(lambda: locatc_search(g, idx, q))
         assert got == outcome(lambda: recounting_local(g, idx, q))
 
-    def count_calls(self, monkeypatch):
-        calls = {"compute_supports": 0, "_walk": 0}
-        for name in calls:
-            fn = getattr(atc.truss, name)
-
-            def counted(*a, _fn=fn, _name=name, **kw):
-                calls[_name] += 1
-                return _fn(*a, **kw)
-            monkeypatch.setattr(atc.truss, name, counted)
-        return calls
-
     def test_feasible_query_counts_supports_once(self, monkeypatch):
         """The core is accepted at its first level, and neither the start
         nor the peel counts a support again or walks."""
         g = two_attr_cliques()
         idx = build_index(g)
-        calls = self.count_calls(monkeypatch)
+        calls = count_calls(monkeypatch, atc.truss, "compute_supports", "_walk")
         res = locatc_search(g, idx, spec(g, [0, 1], ["x"], k=4, d=2))
         assert res.vertices == {g.internal(v) for v in range(5)}
         assert calls == {"compute_supports": 1, "_walk": 0}
@@ -527,6 +540,71 @@ class TestPeelFromCore:
         res = search()
         assert (res.vertices, res.edges) == ({g.internal(0)}, ())
         assert (res.score, res.query_dist, res.diameter) == (1, 0, 0)
+
+
+class TestComponentStart:
+    """With an explicit k, local search starts from the first query node's
+    component of the edges of index trussness >= k when it holds every query
+    node within eta vertices, and gives what the seed and the expansion
+    give."""
+
+    @given(st.integers(0, 2**30), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_search_matches_seeded_pipeline(self, seed_int, binding):
+        rng = random.Random(seed_int)
+        g, size = random_block_graph(rng)
+        idx = build_index(g)
+        q = random_block_query(rng, g, size, k=rng.randint(2, 6),
+                               d=rng.randint(0, 5),
+                               eta=rng.randint(1, 2 * size) if binding else g.n)
+        assert (outcome(lambda: locatc_search(g, idx, q))
+                == outcome(lambda: seeded_local(g, idx, q)))
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=100, deadline=None)
+    def test_component_is_strong_reach_up_to_cap(self, seed_int):
+        rng = random.Random(seed_int)
+        g, _ = random_block_graph(rng)
+        idx = build_index(g)
+        v, k, cap = rng.randrange(g.n), rng.randint(2, 6), rng.randint(1, g.n)
+        reach = strong_reach(g, idx, [v], k)
+        assert k_component(g, idx, v, k, cap) == (reach if len(reach) <= cap else None)
+
+    def test_seed_and_expansion_run_only_past_eta(self, monkeypatch):
+        """A feasible planted query and a two-community query are answered
+        from the component; at eta = 1 the component is cut short and the
+        seed and the expansion run once each."""
+        g, gt = gen_synth(n=200, communities=8, seed=3)
+        plant_attributes(g, gt, rng_seed=3)
+        idx = build_index(g)
+        gq = gen_queries(g, gt, 1, rng_seed=3)[0]
+        calls = count_calls(monkeypatch, atc.local, "steiner_seed", "expand_candidate")
+        res = locatc_search(g, idx, spec(g, gq.nodes, gq.attrs))
+        assert {g.internal(v) for v in gq.nodes} <= res.vertices
+        a, b = (min(c.members) for c in gt.communities[:2])
+        with pytest.raises(NoFeasibleCommunity) as exc:
+            locatc_search(g, idx, spec(g, [a, b], k=4, d=2))
+        assert exc.value.reason == NO_KD_TRUSS
+        assert calls == {"steiner_seed": 0, "expand_candidate": 0}
+        outcome(lambda: locatc_search(g, idx, spec(g, gq.nodes, gq.attrs, eta=1)))
+        assert calls == {"steiner_seed": 1, "expand_candidate": 1}
+
+    def test_lone_query_node_below_k(self, monkeypatch):
+        """A query node whose every edge has trussness below k is its own
+        component, and a vertex without edges is a (k,d)-truss for every k,
+        so it comes back alone, as through the seed."""
+        g = Graph.from_edges(list(itertools.combinations(range(5), 2)) + [(4, 5)])
+        g.attach_attributes({v: ["x"] for v in range(6)})
+        idx = build_index(g)
+        q = spec(g, [5], ["x"], k=4, d=2)
+        assert idx.structural_edge(g.internal(4), g.internal(5)) < q.k
+        expected = outcome(lambda: seeded_local(g, idx, q))
+        calls = count_calls(monkeypatch, atc.local, "steiner_seed", "expand_candidate")
+        res = locatc_search(g, idx, q)
+        assert calls == {"steiner_seed": 0, "expand_candidate": 0}
+        assert (res.vertices, res.edges) == ({g.internal(5)}, ())
+        assert (res.score, res.query_dist, res.diameter) == (1, 0, 0)
+        assert outcome(lambda: res) == expected
 
 
 class TestUnknownAttribute:
