@@ -3,9 +3,11 @@
 Both run one loop (`_peel`): start from the maximal (k,d)-truss around the
 query nodes, repeatedly delete the least useful non-query vertices,
 re-maintain the (k,d)-truss, and return the best-scoring intermediate
-candidate.  They differ only in what they delete per round.  Candidates
-are kept as a deletion log over the starting subgraph, never as full
-snapshots.
+candidate.  They differ only in what they delete per round.  Since
+f(H) = sum_w c_w^2 / |V(H)| <= sum_w c_w and cover counts only fall as
+vertices go, the loop stops once no later candidate can beat the best so
+far.  Candidates are kept as a deletion log over the starting subgraph,
+never as full snapshots.
 """
 from __future__ import annotations
 
@@ -74,15 +76,12 @@ class SearchResult:
 
 def _finish(trace: CandidateTrace, q: QuerySpec, algo: str, iterations: int,
             t0: float) -> SearchResult:
-    # argmax over candidates; ties go to the latest (smallest) candidate
-    best = max(range(len(trace.scores)), key=lambda i: (trace.scores[i], i))
-    trace.best = best
-    h = replay_candidate(trace, best)
+    h = replay_candidate(trace, trace.best)
     _, qd = query_distance(h, q.query_nodes)
     return SearchResult(
         vertices=frozenset(h.vertices),
         edges=tuple(h.sorted_edges()),
-        score=trace.scores[best],
+        score=trace.scores[trace.best],
         k=q.k,
         d=q.d,
         query_dist=qd,
@@ -99,6 +98,10 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick, start=None):
 
     `cands` lists the non-query vertices of h and `bd` is h's score breakdown.
     `start`, when given, is the maximal (k,d)-truss of g, or its failure.
+    The best candidate is the latest of the highest score.  Every later
+    candidate lies inside h minus the picked batch, so it scores at most
+    sum_w c_w there; once the best scores strictly more, the round stops
+    the loop before maintenance and does not count in `iterations`.
     """
     t0 = time.perf_counter()
     q.check_ids(g)
@@ -109,19 +112,29 @@ def _peel(g: Graph | Subgraph, q: QuerySpec, algo: str, pick, start=None):
     parent = h.parent
     bd = score_of_vertices(parent, h.vertices, q.query_attrs)
     trace = CandidateTrace(h.copy(), [bd.score], [], 0)
+    best_sq, best_n = bd.squares, bd.size  # the best score, as sum_w c_w^2 / |H|
     iterations = 0
     while True:
         cands = [v for v in h.vertices if v not in q.query_nodes]
         if not cands:
             break
+        drop = pick(h, cands, bd)
+        cover = bd.cover
+        left = sum(cover.values()) - sum(
+            1 for v in drop for w in parent.attrs[v] if w in cover)
+        if best_sq > left * best_n:
+            break
         ev = []
         iterations += 1
         if not maintain_kd_truss(h, q.query_nodes, q.k, q.d, events=ev, sup=sup,
-                                 drop=pick(h, cands, bd)).valid:
+                                 drop=drop).valid:
             break
         bd = score_of_vertices(parent, h.vertices, q.query_attrs)
         trace.steps.append(ev)
         trace.scores.append(bd.score)
+        if bd.squares * best_n >= best_sq * bd.size:  # ties go to the latest
+            best_sq, best_n = bd.squares, bd.size
+            trace.best = len(trace.steps)
     return _finish(trace, q, algo, iterations, t0), trace
 
 

@@ -274,18 +274,23 @@ def brute_force_atc(g: Graph, q) -> SearchResult | None:
         algo="brute", iterations=0, wall_time=0.0)
 
 
-def oracle_peel(g: Graph, q, bulk: bool):
+def oracle_peel(g: Graph, q, bulk: bool, *, stop: bool):
     """The two greedy loops as basic_search and bulk_search ran them before
     they shared one loop, on from-scratch maintenance and Fraction scores.
 
     Basic deletes the non-query vertex of least (Q(H) - Q(H - v), id), with
     Q = f * |V| = sum_w c_w^2; bulk deletes the first ceil(eps/(1+eps)|V|)
     by (f(H) - f(H - P_H(v)), id), P_H(v) being v and its neighbours of
-    degree k-1.  Returns (vertices, sorted edges, score, iterations,
-    candidate scores), or None when no (k,d)-truss holds the query nodes.
+    degree k-1.  With `stop`, a round ends the loop before it deletes
+    anything when the best score so far is strictly above sum_w c_w of H
+    minus its batch; without it, the loop runs until maintenance fails.
+    g may be a Subgraph, whose parent's attributes are read.  Returns
+    (vertices, sorted edges, score, iterations, candidate scores), or None
+    when no (k,d)-truss holds the query nodes.
     """
     qs, attrs, k, d = q.query_nodes, q.query_attrs, q.k, q.d
     h, valid, _ = oracle_maintain(adj_of(g), qs, k, d)
+    g = g.parent
     if not valid:
         return None
     candidates, scores = [h], [oracle_score(g, h, attrs)]
@@ -305,6 +310,9 @@ def oracle_peel(g: Graph, q, bulk: bool):
             def contribution(v):
                 return f * size - oracle_score(g, set(h) - {v}, attrs) * (size - 1)
             batch = [min(cands, key=lambda v: (contribution(v), v))]
+        if stop and max(scores) > sum(
+                1 for v in set(h) - set(batch) for w in attrs if w in g.attrs[v]):
+            break
         iterations += 1
         rest = {v: ns.difference(batch) for v, ns in h.items() if v not in batch}
         rest, valid, _ = oracle_maintain(rest, qs, k, d)

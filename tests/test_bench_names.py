@@ -38,7 +38,8 @@ def test_index_fields_read_by_benchmark():
 
 def test_observers_read_real_results():
     """Each OBSERVERS entry, applied to what its traced function returns on
-    a 5-clique, gives the counts that clique has."""
+    a 5-clique, gives the counts that clique has.  The clique scores 5, and
+    any one vertex gone leaves sum_w c_w = 4, so the peel runs no round."""
     g = Graph.from_edges(itertools.combinations(range(5), 2))
     g.attach_attributes({v: ["x"] for v in range(5)})
     idx = build_index(g)
@@ -62,5 +63,5 @@ def test_observers_read_real_results():
     for label, out in outputs.items():
         counts.update(spans.OBSERVERS[label](out))
     assert counts == {"local.seed_vertices": 2, "local.expanded_vertices": 5,
-                      "local.core_vertices": 5, "greedy.iterations": 2,
+                      "local.core_vertices": 5, "greedy.iterations": 0,
                       "greedy.initial_vertices": 5, "greedy.result_vertices": 5}

@@ -225,7 +225,7 @@ def test_peel_matches_separate_loops_oracle(seed, k, bulk):
                                         if rng.random() < 0.6),
                   k=k, d=rng.randint(1, 4),
                   epsilon=rng.choice([Fraction(3, 100), Fraction(1, 4), Fraction(1)]))
-    expect = oracle_peel(g, q, bulk)
+    expect = oracle_peel(g, q, bulk, stop=True)
     search = bulk_search if bulk else basic_search
     if expect is None:
         with pytest.raises(NoFeasibleCommunity):
@@ -252,7 +252,7 @@ def test_peel_matches_oracle_on_larger_graphs(seed, k, bulk):
     kd, kc = (maximal_kd_truss(h, q.query_nodes, k, q.d) for h in (g, g.copy()))
     assert (kd.valid, kd.sup) == (kc.valid, kc.sup)
     assert not kd.valid or kd.subgraph.adj == kc.subgraph.adj
-    expect = oracle_peel(g, q, bulk)
+    expect = oracle_peel(g, q, bulk, stop=True)
     search = bulk_search if bulk else basic_search
     if expect is None:
         for h in (g, g.copy()):
@@ -271,13 +271,25 @@ def test_peel_matches_oracle_on_larger_graphs(seed, k, bulk):
 def test_bulk_ranks_emptying_removal_last():
     """A star around v=1 with the query node 0 as a leaf, k=2: v's removal
     set P_H(v) is all of H, so f(H - P_H(v)) = 0 and its gain is the
-    largest; bulk deletes the leaves 2 and 3 first and v last."""
+    largest; bulk would delete the leaves 2 and 3 first and v last.  With
+    x on 0, 2 and 3 the start scores 9/4, above the sum_w c_w = 2 left once
+    leaf 2 goes, so the peel stops before its first round.  With x on the
+    query node alone no round can stop it, and the order shows in the steps."""
     g = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
     g.attach_attributes({0: ["x"], 1: [], 2: ["x"], 3: ["x"]})
     q = spec(g, [0], ["x"], k=2, d=2)
     res, trace = bulk_search(g, q)
-    assert trace.steps == [[("v", 2)], [("v", 3)], [("v", 1)]]
-    assert trace.scores == [Fraction(9, 4), Fraction(4, 3), Fraction(1, 2), Fraction(1)]
-    assert res.iterations == 3 and res.vertices == frozenset(range(4))
+    assert trace.steps == []
+    assert trace.scores == [Fraction(9, 4)]
+    assert res.iterations == 0 and res.vertices == frozenset(range(4))
     assert (res.vertices, res.edges, res.score, res.iterations,
-            trace.scores) == oracle_peel(g, q, bulk=True)
+            trace.scores) == oracle_peel(g, q, bulk=True, stop=True)
+
+    g.attach_attributes({0: ["x"], 1: [], 2: [], 3: []})
+    q = spec(g, [0], ["x"], k=2, d=2)
+    res, trace = bulk_search(g, q)
+    assert trace.steps == [[("v", 2)], [("v", 3)], [("v", 1)]]
+    assert trace.scores == [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    assert res.iterations == 3 and res.vertices == frozenset({0})
+    assert (res.vertices, res.edges, res.score, res.iterations,
+            trace.scores) == oracle_peel(g, q, bulk=True, stop=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -27,7 +28,7 @@ from atc.harness import (
 from atc.greedy import NoFeasibleCommunity, bulk_search
 from atc.truss import NO_KD_TRUSS
 
-from oracles import brute_force_atc, brute_force_atc_alt, rand_graph
+from oracles import brute_force_atc, brute_force_atc_alt, oracle_peel, rand_graph
 
 
 class TestGenSynth:
@@ -186,6 +187,25 @@ class TestStructureBaseline:
         ref, _ = bulk_search(g, QuerySpec(query_nodes=frozenset({v}),
                                           query_attrs=frozenset(), k=3, d=2))
         assert res.vertices == ref.vertices
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_runs_to_the_end(self, seed):
+        """Every score is 0, so no round can stop the peel early: the result,
+        its iterations and the candidate scores are the run to the end's."""
+        rng = random.Random(seed)
+        g = rand_graph(rng, rng.randint(6, 18), rng.uniform(0.3, 0.8), n_attrs=2)
+        q = QuerySpec(query_nodes=frozenset(rng.sample(range(g.n), rng.randint(1, 2))),
+                      query_attrs=frozenset(range(len(g.attr_labels))),
+                      k=rng.randint(2, 4), d=rng.randint(1, 3))
+        expect = oracle_peel(g, dataclasses.replace(q, query_attrs=frozenset()),
+                             bulk=True, stop=False)
+        if expect is None:
+            with pytest.raises(NoFeasibleCommunity):
+                structure_baseline(g, q)
+            return
+        res, trace = structure_baseline(g, q)
+        assert (res.vertices, res.edges, res.score, res.iterations,
+                trace.scores) == expect
 
 
 class TestBruteForce:

@@ -28,8 +28,11 @@ from atc.graph import induced_subgraph, project_on_attribute, query_distance
 from oracles import (
     attribute_truss_distance,
     block_graph,
+    oracle_all_pairs,
     oracle_expand,
     oracle_is_kd_truss,
+    oracle_peel,
+    oracle_query_distance,
     oracle_steiner_opt,
     oracle_steiner_seed,
     rand_graph,
@@ -605,6 +608,64 @@ class TestComponentStart:
         assert (res.vertices, res.edges) == ({g.internal(5)}, ())
         assert (res.score, res.query_dist, res.diameter) == (1, 0, 0)
         assert outcome(lambda: res) == expected
+
+
+def run_to_end(g, q, bulk):
+    """The greedy peel run until maintenance fails, from scratch: vertices,
+    edges, score, query distance and diameter of its best candidate, and
+    the rounds that stopping would run; None when no (k,d)-truss exists."""
+    end = oracle_peel(g, q, bulk, stop=False)
+    if end is None:
+        return None
+    vs, edges, score, _, _ = end
+    adj = {v: set() for v in vs}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    qd = max(oracle_query_distance(adj, q.query_nodes).values())
+    return ((vs, edges, score, qd, max(oracle_all_pairs(adj).values())),
+            oracle_peel(g, q, bulk, stop=True)[3])
+
+
+def stopped(search):
+    """What run_to_end gives, read from a search's result."""
+    try:
+        res = search()
+    except NoFeasibleCommunity:
+        return None
+    return ((res.vertices, res.edges, res.score, res.query_dist, res.diameter),
+            res.iterations)
+
+
+class TestStopMatchesRunToEnd:
+    """The peel stops once the best score is strictly above sum_w c_w of
+    what a round leaves, an upper bound on every later candidate's score.
+    basic, bulk and local return what the peel run to the end returns, and
+    run the rounds that the from-scratch stopping rule runs."""
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=100, deadline=None)
+    def test_same_result_as_run_to_end(self, seed_int):
+        rng = random.Random(seed_int)
+        if rng.random() < 0.5:
+            g, size = random_block_graph(rng)
+        else:
+            g = rand_graph(rng, rng.randint(4, 24), rng.uniform(0.2, 0.8), n_attrs=3)
+            size = g.n
+        q = random_block_query(rng, g, size, k=rng.randint(2, 6), d=rng.randint(0, 5),
+                               eta=g.n, epsilon=rng.choice(
+                                   [Fraction(3, 100), Fraction(1, 4), Fraction(1)]))
+        assert stopped(lambda: basic_search(g, q)[0]) == run_to_end(g, q, bulk=False)
+        assert stopped(lambda: bulk_search(g, q)[0]) == run_to_end(g, q, bulk=True)
+        idx = build_index(g)
+        try:
+            _, gt, _, qc = local_core(g, idx, q)
+        except NoFeasibleCommunity:
+            expect = None
+        else:
+            expect = run_to_end(gt, qc, bulk=True)
+        assert stopped(lambda: seeded_local(g, idx, q)) == expect
+        assert stopped(lambda: locatc_search(g, idx, q)) == expect
 
 
 class TestUnknownAttribute:
