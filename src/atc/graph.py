@@ -299,7 +299,9 @@ def source_distances(adj, sources: Iterable[int]) -> dict:
     bits that have not reached the vertex yet, so its distance is the level
     at which its need empties.  Only the vertices that gained bits in a
     level, each with just those bits, form the next frontier.  A single
-    source runs a plain BFS, which is faster for one.
+    source runs a plain BFS, which is faster for one.  It serves query
+    distance, one sweep from the query nodes a round; a result's diameter,
+    which would take every vertex as a source, is `truss.diameter`.
     """
     srcs = list(dict.fromkeys(sources))
     dist = dict.fromkeys(adj, UNREACHABLE)

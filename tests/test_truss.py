@@ -65,8 +65,23 @@ class TestSupports:
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
     def test_matches_triple_oracle(self, seed):
-        g = rand_graph(random.Random(seed), 18, 0.25)
-        assert compute_supports(g.copy()) == oracle_supports(adj_of(g))
+        """One graph on each side of the density cut: a dense one of 65-200
+        vertices, whose rows span several machine words, and a sparse one,
+        counted on neighbour sets.  Both give the oracle's counts, read in
+        place or from a mutable copy, keyed in edge order."""
+        rng = random.Random(seed)
+        n = rng.randint(65, 200)
+        dense = rand_graph(rng, n, rng.uniform(14, 24) / (n - 1))
+        n = rng.randint(2, 200)
+        sparse = rand_graph(rng, n, rng.uniform(0, 6) / (n - 1))
+        assert truss.rows_pay(dense.n, dense.m)
+        assert not truss.rows_pay(sparse.n, sparse.m)
+        for g in (dense, sparse):
+            h = g.copy()
+            sup = compute_supports(g)
+            assert sup == compute_supports(h) == oracle_supports(adj_of(g))
+            assert list(sup) == list(g.edges())
+            assert list(compute_supports(h)) == list(h.edges())
 
 
 @given(st.integers(0, 2**30))
@@ -594,6 +609,22 @@ class TestDiameter:
     def test_disconnected(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         assert diameter(g) == UNREACHABLE
+
+    def test_single_vertex(self):
+        assert diameter(Graph.from_edges([], extra_vertices=[0])) == 0
+
+    def test_edgeless_pair(self):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        assert diameter(induced_subgraph(g, [g.internal(0), g.internal(2)])) == UNREACHABLE
+
+    def test_long_path(self):
+        """One hop a round, for 99 rounds."""
+        g = Graph.from_edges([(i, i + 1) for i in range(99)])
+        assert diameter(g) == 99
+
+    def test_large_clique(self):
+        """Every ball covers the 70 vertices, two machine words, at once."""
+        assert diameter(clique(70)) == 1
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
